@@ -13,12 +13,11 @@ __version__ = "0.1.0"
 
 from .weights import (AdmissibilityReport, GammaHatEntry, SaddlePoint,
                       WeightSpec, admissibility_report, eval_L_eps, eval_eps,
-                      eval_gamma, eval_log_gamma, gamma_hat_closed,
+                      eval_gamma, gamma_hat_closed,
                       gamma_hat_closed_log, gamma_hat_numeric, moment_weight,
                       rho_of_r, solve_saddle)
-from .kernels import (EntireE, KernelK, OmegaDomain, E_asymptotic, E_series,
-                      K_asymptotic, K_closed, K_mellin, kernel_probe_csv,
-                      omega_membership, verify_kernel_lemma)
+from .kernels import (EntireE, KernelK, OmegaDomain, K_closed,
+                      kernel_probe_csv, verify_kernel_lemma)
 from .transforms import (FormalSeries, FunctionHandle, PadeApproximant,
                          SummationResult, borel_coeffs, borel_contour,
                          laplace_derivative_n, laplace_quadrature, moment_sum,

@@ -208,7 +208,7 @@ def shift_laplace_check(F: FunctionHandle, a: float, w: WeightSpec,
     Both sides are normalized the same way (the t-scaled form
     int F(xt) K(t) dt), evaluated by independent quadratures.
     """
-    if not (w.family == "gamma_power" and w.pdict.get("alpha") == 1.0):
+    if not w.classical:
         raise DomainError("the shift identity check uses the classical kernel")
     if a < 0 or x <= 0:
         raise DomainError("need a >= 0 and x > 0")
@@ -335,13 +335,10 @@ def _screen_positive_ray(poly):
 
 
 def _mu_ratio(w: WeightSpec, m: int, j: int):
-    """mu_m / mu_{m-j}, exact for the classical factorial moments."""
-    if w.family == "gamma_power" and w.pdict.get("alpha") == 1.0 \
-            and w.arg_shift == 0.0:
-        out = 1
-        for i in range(m - j + 1, m + 1):
-            out *= i
-        return Fraction(out)
+    """mu_m / mu_{m-j}, exact where the weight declares integer moments."""
+    exact = w.closed("moments")
+    if exact is not None:
+        return Fraction(exact(m), exact(m - j))
     return math.exp(w.moment_log(m) - w.moment_log(m - j))
 
 

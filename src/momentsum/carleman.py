@@ -20,7 +20,7 @@ from scipy.special import gammaln
 
 from .errors import DomainError, NonPositivePoint
 from .kernels import EntireE
-from .weights import WeightSpec, gamma_hat_closed_log
+from .weights import WeightSpec, gamma_hat_closed_log, gamma_hat_closed_ratio
 
 # ---------------------------------------------------------------------------
 # Stirling numbers (exact, memoized)
@@ -177,14 +177,10 @@ class SequenceM:
 
     @staticmethod
     def from_gamma_hat(family: str, params: dict, n_floor: int = 3) -> "SequenceM":
-        sym = {"gamma_power": {"p": 1.0, "q": 0.0},
-               "log_power": {"p": 1.0, "q": 1.0},
-               "loglog_power": {"p": 1.0, "q": 1.0},
-               "exp_logpower": {"p": 1.0, "q": 1.0 - params.get("alpha", 0.5)},
-               "exp_log_over_loglog": {"p": 1.0, "q": 0.0}}.get(family)
         return SequenceM(
             lambda n: gamma_hat_closed_log(family, params, max(n, n_floor)),
-            label=f"ghat[{family}]", symbolic=sym)
+            label=f"ghat[{family}]",
+            symbolic=gamma_hat_closed_ratio(family, params))
 
     @staticmethod
     def from_moments(w: WeightSpec) -> "SequenceM":

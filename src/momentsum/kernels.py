@@ -7,11 +7,13 @@ matched growth/decay (E grows exactly as fast as 1/K) is what makes the
 Laplace integrals of the transforms module converge, and both admit
 saddle-point asymptotics driven by ``solve_saddle``.
 
-For the gamma_power family everything is explicit: ``mu_n = Gamma(1+n/alpha)``,
-``K(t) = alpha t^(alpha-1) exp(-t^alpha)`` (exactly; the literature's
-``exp(-t^alpha)`` differs by the polynomial prefactor and is kept as the
-textbook-normalization closed form, coinciding at alpha = 1), and E is the
-Mittag-Leffler function (``exp`` at alpha=1, ``erfcx``-type at alpha=2).
+Closed forms come from the weight's family table (``WeightSpec.closed``):
+for gamma_power ``mu_n = Gamma(1+n/alpha)``, ``K(t) = alpha t^(alpha-1)
+exp(-t^alpha)`` (exactly; the literature's ``exp(-t^alpha)`` differs by the
+polynomial prefactor and is kept as the textbook-normalization closed form,
+coinciding at alpha = 1), and E is the Mittag-Leffler function (``exp`` at
+alpha=1, ``erfcx``-type at alpha=2).  Both classes look their closed forms
+up once, at construction.
 """
 
 from __future__ import annotations
@@ -19,16 +21,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import wofz
 
 from .errors import (DecayTooSlow, DomainError, MomentSumError, SaddleFailure,
                      TruncationError, UnsupportedFamily)
-from .weights import (LOG_FLOAT_MAX, WeightSpec, eval_eps,
-                      gamma_hat_numeric, log_L, moment_weight, solve_saddle)
+from .weights import (LOG_FLOAT_MAX, L_inverse, WeightSpec, eval_eps,
+                      gamma_hat_numeric, log_L, log_L_hat, moment_weight,
+                      solve_saddle)
 
 _LOG_TINY = -745.0
 
@@ -49,9 +51,10 @@ class EAsymptotic:
 class EntireE:
     """E(z) = sum_{n>=0} z^n / mu_n with certified truncation.
 
-    The series cache grows on demand; closed forms are used when the family
-    has one (exp for the classical weight, the Mittag-Leffler/erfcx form at
-    alpha = 2).  Very large positive-real arguments are handled in log scale.
+    The series cache grows on demand; closed forms are used when the weight
+    declares one (exp for the classical weight, the Mittag-Leffler/erfcx
+    form at alpha = 2, a custom ``entire`` hook).  Very large positive-real
+    arguments are handled in log scale.
     """
 
     def __init__(self, weight: WeightSpec, rel_tol: float = 1e-12,
@@ -61,25 +64,13 @@ class EntireE:
         self.n_cap = n_cap
         self.auto_asymptotic = auto_asymptotic
         self._log_mu = []
+        self._closed = weight.closed("entire")
+        self._log_closed = weight.closed("log_entire_real")
 
     def _log_mu_upto(self, n):
         while len(self._log_mu) <= n:
             self._log_mu.append(self.weight.moment_log(len(self._log_mu)))
         return self._log_mu
-
-    @property
-    def _closed(self):
-        w = self.weight
-        if w.family == "custom":
-            return w.custom_entire
-        if w.family == "gamma_power" and w.arg_shift == 0.0:
-            a = w.pdict["alpha"]
-            if a == 1.0:
-                return np.exp
-            if a == 2.0:
-                # sum z^n / Gamma(1+n/2) = e^{z^2} erfc(-z)
-                return lambda z: wofz(-1j * np.asarray(z, dtype=complex))
-        return None
 
     def series(self, z, rel_tol: Optional[float] = None) -> complex:
         """Direct partial summation with a geometric tail certificate."""
@@ -146,18 +137,8 @@ class EntireE:
             return a.value
 
     def log_eval_real(self, x: float) -> float:
-        cf = self._closed
-        w = self.weight
-        if w.family == "gamma_power" and w.arg_shift == 0.0 and cf is not None:
-            a = w.pdict["alpha"]
-            if a == 1.0:
-                return float(x)
-            if a == 2.0 and x >= 0:
-                # log(e^{x^2} erfc(-x)) = x^2 + log(2 - erfcx(x))-ish; for
-                # x >= 0, erfc(-x) in [1, 2] so the direct form is stable
-                from scipy.special import erfc
-                return float(x * x + math.log(erfc(-min(x, 26.0)))) if x < 26 \
-                    else float(x * x + math.log(2.0))
+        if self._log_closed is not None:
+            return self._log_closed(x)
         try:
             return self.log_series_real(x)
         except TruncationError:
@@ -207,14 +188,6 @@ class EntireE:
         return EAsymptotic(complex(value), la, "main", sp)
 
 
-def E_series(E: EntireE, z, rel_tol: float = 1e-12) -> complex:
-    return E.series(z, rel_tol)
-
-
-def E_asymptotic(E: EntireE, z) -> EAsymptotic:
-    return E.asymptotic(z)
-
-
 # ---------------------------------------------------------------------------
 # K
 # ---------------------------------------------------------------------------
@@ -226,66 +199,46 @@ def K_closed(w: WeightSpec, t):
     other alpha it differs by the prefactor alpha t^(alpha-1) and is kept
     for reference comparisons only.
     """
-    if w.family != "gamma_power":
-        raise UnsupportedFamily("closed kernel form exists for gamma_power only")
-    a = w.pdict["alpha"]
-    return np.exp(-np.asarray(t, dtype=complex) ** a) if np.iscomplexobj(t) \
-        else float(np.exp(-float(t) ** a))
+    fn = w.closed("textbook_kernel")
+    if fn is None:
+        raise UnsupportedFamily(f"no textbook closed kernel for {w.describe()}")
+    return fn(t)
 
 
 @dataclass
 class KernelK:
     """Moment kernel with int_0^inf t^n K(t) dt = mu_n.
 
-    mode "closed_form" uses the exact canonical kernel when the family has
-    one; "mellin_contour" integrates t^{-w} over a vertical line against the
-    moment-anchored weight; "asymptotic" applies the saddle-point formula.
+    ``eval`` uses the exact kernel when the weight declares one and
+    otherwise integrates t^{-z} gamma(z-1) along the vertical line
+    Re z = ``contour_abscissa`` (Mellin inversion of the moment-anchored
+    weight); ``asymptotic`` applies the saddle-point formula.
     """
 
     weight: WeightSpec
-    mode: str = "auto"           # auto | closed_form | mellin_contour | asymptotic
-    contour_abscissa: Optional[float] = None
     mellin_tol: float = 1e-10
+    contour_abscissa: float = field(init=False)
     _mw: WeightSpec = field(init=False, repr=False)
+    _closed: Optional[Callable] = field(init=False, repr=False)
+    _log_abs_closed: Optional[Callable] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._mw = moment_weight(self.weight)
-        if self.contour_abscissa is None:
-            self.contour_abscissa = max(1.0, self._mw.min_real + 0.75)
+        self.contour_abscissa = max(1.0, self._mw.min_real + 0.75)
+        self._closed = self.weight.closed("kernel")
+        self._log_abs_closed = self.weight.closed("log_abs_kernel")
 
     # -- canonical closed form --------------------------------------------
 
     def closed(self, t):
-        """Exact kernel where known: alpha t^(alpha-1) exp(-t^alpha) for
-        gamma_power, a user hook for custom weights; None otherwise."""
-        w = self.weight
-        if w.family == "gamma_power" and w.arg_shift == 0.0:
-            a = w.pdict["alpha"]
-            tc = complex(t)
-            if tc.imag == 0 and tc.real >= 0:
-                tr = tc.real
-                val = a * tr ** (a - 1.0) * math.exp(-tr ** a) if tr > 0 else \
-                    (1.0 if a == 1.0 else (math.inf if a < 1.0 else 0.0))
-                return val
-            return a * tc ** (a - 1.0) * np.exp(-tc ** a)
-        if w.family == "custom" and w.custom_kernel is not None:
-            return w.custom_kernel(t)
-        return None
+        """Exact kernel where the weight declares one (alpha t^(alpha-1)
+        exp(-t^alpha) for gamma_power, a custom ``kernel`` hook); None
+        otherwise."""
+        return None if self._closed is None else self._closed(t)
 
     def log_abs_closed(self, t):
         """log |K(t)| for complex t via the closed form (overflow-safe)."""
-        w = self.weight
-        if w.family == "gamma_power" and w.arg_shift == 0.0:
-            a = w.pdict["alpha"]
-            tc = complex(t)
-            if tc == 0:
-                return 0.0 if a == 1.0 else (-math.inf if a > 1 else math.inf)
-            return (math.log(a) + (a - 1.0) * math.log(abs(tc))
-                    - float(np.real(tc ** a)))
-        if w.family == "custom" and w.custom_kernel is not None:
-            v = w.custom_kernel(t)
-            return math.log(abs(v)) if v != 0 else -math.inf
-        return None
+        return None if self._log_abs_closed is None else self._log_abs_closed(t)
 
     # -- Mellin line integral ----------------------------------------------
 
@@ -350,38 +303,19 @@ class KernelK:
             value = float(np.real(value))
         return value, la, sp
 
-    def log_abs_asymptotic(self, t) -> float:
-        return self.asymptotic(t)[1]
-
     # -- dispatch ------------------------------------------------------------
 
     def eval(self, t):
-        if self.mode in ("auto", "closed_form"):
-            v = self.closed(t)
-            if v is not None:
-                return v
-            if self.mode == "closed_form":
-                raise UnsupportedFamily(
-                    f"no closed kernel for {self.weight.describe()}")
-        if self.mode == "asymptotic":
-            return self.asymptotic(t)[0]
+        if self._closed is not None:
+            return self._closed(t)
         return self.mellin(t)[0]
 
     def log_abs(self, t) -> float:
-        v = self.log_abs_closed(t)
-        if v is not None:
-            return v
+        if self._log_abs_closed is not None:
+            return self._log_abs_closed(t)
         val = self.mellin(t)[0]
         a = abs(val)
         return math.log(a) if a > 0 else -math.inf
-
-
-def K_mellin(k: KernelK, t, tol: float = 1e-10):
-    return k.mellin(t, tol)[0]
-
-
-def K_asymptotic(k: KernelK, t):
-    return k.asymptotic(t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +374,6 @@ class OmegaDomain:
         return OmegaMembership(member, sup_log, False, float(tail_slope))
 
 
-def omega_membership(d: OmegaDomain, z):
-    m = d.membership(z)
-    return m.member, m.sup_log
-
-
 # ---------------------------------------------------------------------------
 # lemma verification suite
 # ---------------------------------------------------------------------------
@@ -456,10 +385,6 @@ class LemmaReport:
     measured: dict
     stable: Optional[bool]
     detail: str
-
-    def to_row(self):
-        return {"lemma": self.lemma, "weight": self.weight,
-                "stable": self.stable, "detail": self.detail}
 
 
 def _stability(values, slope_tol: float = 0.15) -> bool:
@@ -563,23 +488,11 @@ def verify_E_curve(w: WeightSpec, eta: float = 1.05, r_range=(5.0, 60.0),
     """Measure max{|E(z)| : |arg z| >= theta(r) or |z| <= r} / E(r)."""
     E = EntireE(w)
     mw = moment_weight(w)
-    from scipy.optimize import brentq as _brentq
-
-    def L_inv(r):
-        f = lambda kk: float(np.real(log_L(mw, kk))) - math.log(r)
-        lo = max(mw.min_real + 1.0, 2.0)
-        if f(lo) > 0:
-            return lo
-        hi = lo * 2
-        while f(hi) < 0:
-            hi *= 2
-        return _brentq(f, lo, hi, xtol=1e-9)
-
     rs = np.geomspace(*r_range, n_r)
     logC = []
     for r in rs:
-        from .weights import log_L_hat
-        theta = min(eta / math.exp(log_L_hat(mw, L_inv(r))), 0.95 * math.pi)
+        theta = min(eta / math.exp(log_L_hat(mw, L_inverse(mw, r))),
+                    0.95 * math.pi)
         best = -math.inf
         # circle |z| = r, angles theta..pi
         for ang in np.linspace(theta, math.pi, 25):
@@ -643,7 +556,11 @@ def verify_kernel_lemma(lemma: str, w: WeightSpec, **params) -> LemmaReport:
 # ---------------------------------------------------------------------------
 
 def kernel_probe_csv(w: WeightSpec, ts, path, header_note: str = ""):
-    """Dump t, K_closed, K_mellin, K_asymptotic, abs_err rows to CSV."""
+    """Dump t, K_closed, K_mellin, K_asymptotic, abs_err rows to CSV.
+
+    K_closed is the canonical kernel (``KernelK.closed``, NaN where the
+    weight has none) and abs_err = |K_mellin - K_closed|.
+    """
     k = KernelK(w)
     with open(path, "w", newline="") as fh:
         if header_note:
@@ -652,9 +569,8 @@ def kernel_probe_csv(w: WeightSpec, ts, path, header_note: str = ""):
         writer = csv.writer(fh)
         writer.writerow(["t", "K_closed", "K_mellin", "K_asymptotic", "abs_err"])
         for t in ts:
-            try:
-                kc = K_closed(w, t)
-            except UnsupportedFamily:
+            kc = k.closed(t)
+            if kc is None:
                 kc = math.nan
             km = k.mellin(t)[0]
             try:

@@ -24,7 +24,7 @@ from scipy.integrate import IntegrationWarning, quad
 from .errors import (DegenerateDenominator, DerivativeUnavailable, DomainError,
                      IncompatibleGrowth, PoleOnRayWarning, QuadratureStall)
 from .kernels import EntireE, KernelK
-from .weights import WeightSpec, log_L, log_L_hat, moment_weight
+from .weights import L_inverse, WeightSpec, log_L_hat, moment_weight
 
 MAX_FD_ORDER = 8  # finite-difference derivatives beyond this are ill-conditioned
 
@@ -50,10 +50,6 @@ class FormalSeries:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(
             Fraction(c) if isinstance(c, int) else c for c in self.coeffs))
-
-    @staticmethod
-    def from_list(values) -> "FormalSeries":
-        return FormalSeries(tuple(values))
 
     @staticmethod
     def zero(length: int) -> "FormalSeries":
@@ -212,14 +208,14 @@ class FunctionHandle:
 def borel_coeffs(s: FormalSeries, w: WeightSpec) -> FormalSeries:
     """Termwise division by the moments: coefficient n becomes a_n / mu_n.
 
-    Exact when the input is rational and the moments are integers (the
-    factorial moments of the classical weight).
+    Exact when the input is rational and the weight declares integer
+    moments (the factorial moments of the classical weight).
     """
+    exact = w.closed("moments")
     out = []
     for n, a in enumerate(s.coeffs):
-        if w.family == "gamma_power" and w.pdict["alpha"] == 1.0 \
-                and w.arg_shift == 0.0 and isinstance(a, (Fraction, int)):
-            out.append(Fraction(a) / math.factorial(n))
+        if exact is not None and isinstance(a, (Fraction, int)):
+            out.append(Fraction(a) / exact(n))
         else:
             out.append(float(a) / w.moment(n))
     return FormalSeries(tuple(out))
@@ -589,18 +585,7 @@ def borel_contour(g: FunctionHandle, w: WeightSpec, x: float, n: int = 0,
             f"disk (radius {r_g})")
 
     # theta_R from the companion sequence profile of the moment weight
-    def L_inv(r):
-        from scipy.optimize import brentq
-        f = lambda k: float(np.real(log_L(mw, k))) - math.log(r)
-        lo = max(mw.min_real + 1.0, 2.0)
-        if f(lo) > 0:
-            return lo
-        hi = 2 * lo
-        while f(hi) < 0:
-            hi *= 2
-        return brentq(f, lo, hi, xtol=1e-9)
-
-    theta = min(eta * math.exp(-log_L_hat(mw, L_inv(max(R, 2.0)))),
+    theta = min(eta * math.exp(-log_L_hat(mw, L_inverse(mw, max(R, 2.0)))),
                 0.95 * math.pi)
 
     def Ew(wv):

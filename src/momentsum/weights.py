@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import digamma, gammaln, loggamma
+from scipy.special import digamma, erfc, gammaln, loggamma, wofz
 
 from .errors import BracketError, DomainError, NoConvergence, UnsupportedFamily
 
@@ -112,35 +112,149 @@ def _eps_gamma_power(p, s):
     return digamma(1.0 + s / a) / a - loggamma(1.0 + s / a) / s
 
 
+# -- gamma_power closed forms (factories of the parameter dict) ----------------
+
+def _gp_kernel(p):
+    a = p["alpha"]
+
+    def K(t):
+        tc = complex(t)
+        if tc.imag == 0 and tc.real >= 0:
+            tr = tc.real
+            return a * tr ** (a - 1.0) * math.exp(-tr ** a) if tr > 0 else \
+                (1.0 if a == 1.0 else (math.inf if a < 1.0 else 0.0))
+        return a * tc ** (a - 1.0) * np.exp(-tc ** a)
+    return K
+
+
+def _gp_log_abs_kernel(p):
+    a = p["alpha"]
+
+    def log_abs_K(t):
+        tc = complex(t)
+        if tc == 0:
+            return 0.0 if a == 1.0 else (-math.inf if a > 1 else math.inf)
+        return (math.log(a) + (a - 1.0) * math.log(abs(tc))
+                - float(np.real(tc ** a)))
+    return log_abs_K
+
+
+def _gp_textbook_kernel(p):
+    a = p["alpha"]
+    return lambda t: np.exp(-np.asarray(t, dtype=complex) ** a) \
+        if np.iscomplexobj(t) else float(np.exp(-float(t) ** a))
+
+
+def _gp_entire(p):
+    if p["alpha"] == 1.0:
+        return np.exp
+    if p["alpha"] == 2.0:
+        # sum z^n / Gamma(1+n/2) = e^{z^2} erfc(-z)
+        return lambda z: wofz(-1j * np.asarray(z, dtype=complex))
+    return None
+
+
+def _log_entire_alpha2(x):
+    # log(e^{x^2} erfc(-x)); for x >= 0, erfc(-x) in [1, 2] so the direct
+    # form is stable
+    if x < 0:
+        raise DomainError("closed log E(x) needs x >= 0")
+    return float(x * x + math.log(erfc(-x))) if x < 26 \
+        else float(x * x + math.log(2.0))
+
+
+def _gp_log_entire_real(p):
+    return {1.0: float, 2.0: _log_entire_alpha2}.get(p["alpha"])
+
+
+def _gp_log_abs_gamma_imag(p):
+    a = p["alpha"]
+
+    def log_abs_gamma_imag(rho):
+        # reflection: |Gamma(1+iy)|^2 = pi y / sinh(pi y), with
+        # log sinh(pi y) = pi y - log 2 + log1p(-exp(-2 pi y))
+        y = rho / a
+        lsh = math.pi * y - math.log(2.0) + math.log1p(-math.exp(-2 * math.pi * y)) \
+            if y > 1e-8 else math.log(math.sinh(math.pi * y))
+        return 0.5 * (math.log(math.pi) + math.log(y) - lsh)
+    return log_abs_gamma_imag
+
+
+def _fixed(value):
+    """Factory that ignores the parameters (None stays None)."""
+    return None if value is None else (lambda p: value)
+
+
+def _log_abs_of(kernel):
+    def log_abs_K(t):
+        v = kernel(t)
+        return math.log(abs(v)) if v != 0 else -math.inf
+    return log_abs_K
+
+
 @dataclass(frozen=True)
 class _Family:
+    """What a weight family declares: its formulas, its ray data and the
+    closed forms it has.
+
+    Closed forms are factories ``p -> callable`` of the parameter dict that
+    return None where the family has no closed form at those parameters.
+    They describe the unshifted function; ``WeightSpec.closed`` withholds
+    them from re-anchored weights.
+    """
     name: str
-    log_gamma: Callable
-    analytic_eps: Optional[Callable]
-    min_real: float  # smallest real argument the formula tolerates
-    rho0: float      # empirical univalence threshold for the saddle profile
-    param_names: tuple
+    log_gamma: Callable              # (p, s) -> log gamma(s)
+    eps: Optional[Callable]          # (p, s) -> eps(s); None: central difference
+    min_real: Callable               # p -> smallest real argument the formula tolerates
+    rho0: float                      # empirical univalence threshold for the saddle profile
+    max_real: float = math.inf       # largest evaluable real argument
+    complex_capable: bool = True     # log_gamma accepts complex s
+    moments: Optional[Callable] = None          # n -> mu_n as an exact integer
+    kernel: Optional[Callable] = None           # t -> K(t), complex-capable
+    log_abs_kernel: Optional[Callable] = None   # t -> log |K(t)|
+    textbook_kernel: Optional[Callable] = None  # t -> the literature's normalization of K
+    entire: Optional[Callable] = None           # z -> E(z)
+    log_entire_real: Optional[Callable] = None  # x -> log E(x) on the ray
+    log_abs_gamma_imag: Optional[Callable] = None  # rho -> log |gamma(i rho)|
+    # closed companion sequence log ghat_n = log n! + n log ghat_factor(p, log n)
+    # and its ratio asymptotics ghat_n/ghat_{n+1} ~ c / (n^p log^q n)
+    ghat_factor: Optional[Callable] = None
+    ghat_ratio: Optional[Callable] = None       # p -> {"p": ..., "q": ...}
 
 
 _FAMILIES = {
     f.name: f
     for f in [
-        _Family("log_power", _lg_log_power, _eps_log_power, 1.10, 8.0,
-                ("alpha", "beta")),
+        _Family("log_power", _lg_log_power, _eps_log_power, _fixed(1.10), 8.0,
+                ghat_factor=lambda p, ln: 2.0 / (math.pi * p["alpha"]) * ln,
+                ghat_ratio=lambda p: {"p": 1.0, "q": 1.0}),
         _Family("loglog_power", _lg_loglog_power, _eps_loglog_power,
-                math.e + 0.10, 16.0, ("beta",)),
+                _fixed(math.e + 0.10), 16.0,
+                ghat_factor=lambda p, ln:
+                    2.0 / (math.pi * p["beta"]) * ln * math.log(ln),
+                ghat_ratio=lambda p: {"p": 1.0, "q": 1.0}),
         _Family("exp_logpower", _lg_exp_logpower, _eps_exp_logpower,
-                1.10, 8.0, ("alpha",)),
+                _fixed(1.10), 8.0,
+                ghat_factor=lambda p, ln:
+                    2.0 / (math.pi * p["alpha"]) * ln ** (1.0 - p["alpha"]),
+                ghat_ratio=lambda p: {"p": 1.0, "q": 1.0 - p.get("alpha", 0.5)}),
         _Family("exp_log_over_loglog", _lg_exp_log_over_loglog,
-                _eps_exp_log_over_loglog, math.e + 0.10, 16.0, ("alpha",)),
+                _eps_exp_log_over_loglog, _fixed(math.e + 0.10), 16.0,
+                ghat_factor=lambda p, ln:
+                    2.0 / (math.pi * p["alpha"]) * math.log(ln),
+                ghat_ratio=lambda p: {"p": 1.0, "q": 0.0}),
         _Family("gamma_power", _lg_gamma_power, _eps_gamma_power,
-                None, 2.0, ("alpha",)),  # min_real depends on alpha
-        _Family("iterated_log", _lg_iterated_log, None, 0.0, 8.0, ("k",)),
+                lambda p: -p["alpha"] + 1e-9, 2.0,
+                moments=lambda p: math.factorial if p["alpha"] == 1.0 else None,
+                kernel=_gp_kernel, log_abs_kernel=_gp_log_abs_kernel,
+                textbook_kernel=_gp_textbook_kernel, entire=_gp_entire,
+                log_entire_real=_gp_log_entire_real,
+                log_abs_gamma_imag=_gp_log_abs_gamma_imag,
+                ghat_factor=lambda p, ln: 2.0 / math.pi * p["alpha"],
+                ghat_ratio=lambda p: {"p": 1.0, "q": 0.0}),
+        _Family("iterated_log", _lg_iterated_log, None, _fixed(0.0), 8.0),
     ]
 }
-
-_TABLE_FAMILIES = ("log_power", "loglog_power", "exp_logpower",
-                   "exp_log_over_loglog", "gamma_power")
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +269,9 @@ class WeightSpec:
     for user-constructed weights and -1 for the internal moment-anchored twin
     used by the kernel/E asymptotics.
 
-    Custom weights supply ``evaluator`` returning ``log gamma(s)`` for complex
-    ``s`` (or real-only; see ``complex_capable``) and may add closed-form
-    hooks for the moment sequence and kernel.
+    ``record`` is the family's table entry (filled in from the family name
+    for built-in weights); custom weights carry their own, built by
+    :meth:`custom`.
     """
 
     family: str
@@ -165,30 +279,26 @@ class WeightSpec:
     sector_half_angle: float = 2.0
     shift_c: float = 0.5
     arg_shift: float = 0.0
-    evaluator: Optional[Callable] = None
-    custom_eps: Optional[Callable] = None
-    custom_min_real: float = 1.0
-    custom_rho0: float = 4.0
-    complex_capable: bool = True
-    custom_kernel: Optional[Callable] = None   # closed-form K(t), complex-capable
-    custom_entire: Optional[Callable] = None   # closed-form E(z)
-    custom_max_real: float = math.inf          # largest evaluable real argument
     label: str = ""
-    _moment_cache: dict = field(default_factory=dict, compare=False,
-                                repr=False, hash=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  compare=False, repr=False, hash=False)
+    record: Optional[_Family] = field(default=None, repr=False)
+    _p: dict = field(init=False, compare=False, repr=False)
+    _closed: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
+    _moment_cache: dict = field(default_factory=dict, init=False,
+                                compare=False, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                  compare=False, repr=False)
 
     def __post_init__(self):
         if self.sector_half_angle <= math.pi / 2:
             raise DomainError("sector half-angle must exceed pi/2")
         if self.shift_c <= 0:
             raise DomainError("shift_c must be positive")
-        if self.family == "custom":
-            if self.evaluator is None:
-                raise DomainError("custom weight needs an evaluator")
-        elif self.family not in _FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}")
+        if self.record is None:
+            if self.family not in _FAMILIES:
+                raise DomainError(f"unknown family {self.family!r}")
+            object.__setattr__(self, "record", _FAMILIES[self.family])
+        object.__setattr__(self, "_p", dict(self.params))
 
     # -- construction helpers ------------------------------------------------
 
@@ -234,11 +344,20 @@ class WeightSpec:
     def custom(evaluator, *, eps=None, min_real=1.0, rho0=4.0,
                complex_capable=True, kernel=None, entire=None,
                max_real=math.inf, label="custom", **kw) -> "WeightSpec":
-        return WeightSpec("custom", (), evaluator=evaluator, custom_eps=eps,
-                          custom_min_real=min_real, custom_rho0=rho0,
-                          complex_capable=complex_capable, custom_kernel=kernel,
-                          custom_entire=entire, custom_max_real=max_real,
-                          label=label, **kw)
+        """A user weight.  ``evaluator(s)`` returns log gamma(s) for complex
+        ``s`` (real-only when ``complex_capable`` is False); ``eps(s)`` is an
+        optional analytic eps; ``kernel(t)`` and ``entire(z)`` declare the
+        closed forms of K and E, which then replace Mellin inversion and the
+        series exactly as a built-in family's table entry does."""
+        if evaluator is None:
+            raise DomainError("custom weight needs an evaluator")
+        record = _Family(
+            "custom", lambda p, s: evaluator(s),
+            None if eps is None else (lambda p, s: eps(s)),
+            _fixed(min_real), rho0, max_real, complex_capable,
+            kernel=_fixed(kernel), entire=_fixed(entire),
+            log_abs_kernel=_fixed(kernel and _log_abs_of(kernel)))
+        return WeightSpec("custom", (), label=label, record=record, **kw)
 
     # -- basic properties ----------------------------------------------------
 
@@ -249,24 +368,35 @@ class WeightSpec:
     @property
     def min_real(self) -> float:
         """Smallest real s at which gamma(s) is safely evaluable."""
-        if self.family == "custom":
-            base = self.custom_min_real
-        elif self.family == "gamma_power":
-            base = -self.pdict["alpha"] + 1e-9
-        else:
-            base = _FAMILIES[self.family].min_real
-        return base - self.arg_shift
+        return self.record.min_real(self._p) - self.arg_shift
 
     @property
     def max_real(self) -> float:
-        return self.custom_max_real - self.arg_shift \
-            if self.family == "custom" else math.inf
+        return self.record.max_real - self.arg_shift
 
     @property
     def rho0(self) -> float:
-        if self.family == "custom":
-            return self.custom_rho0 - self.arg_shift
-        return _FAMILIES[self.family].rho0 - self.arg_shift
+        return self.record.rho0 - self.arg_shift
+
+    @property
+    def complex_capable(self) -> bool:
+        return self.record.complex_capable
+
+    def closed(self, name: str):
+        """The closed form ``name`` (a field of the family record, e.g.
+        "kernel" or "entire") at these parameters, or None.  Closed forms
+        hold for the unshifted function only."""
+        if name not in self._closed:
+            # cached: gamma_hat_numeric asks once per probed rho
+            make = getattr(self.record, name)
+            self._closed[name] = make(self._p) \
+                if make is not None and self.arg_shift == 0.0 else None
+        return self._closed[name]
+
+    @property
+    def classical(self) -> bool:
+        """gamma(s) = Gamma(1 + s): moments n!, K = e^-t and E = exp."""
+        return self.closed("moments") is math.factorial
 
     def in_sector(self, s) -> bool:
         w = complex(s) + self.shift_c
@@ -279,11 +409,9 @@ class WeightSpec:
         if not self.in_sector(s):
             raise DomainError(f"s={s} outside sector of {self.describe()}")
         s = s + self.arg_shift
-        if self.family == "custom":
-            return self.evaluator(s)
         if isinstance(s, complex) or np.iscomplexobj(s):
             s = complex(s)
-        return _FAMILIES[self.family].log_gamma(self.pdict, s)
+        return self.record.log_gamma(self._p, s)
 
     def gamma(self, s):
         lg = self.log_gamma(s)
@@ -344,8 +472,7 @@ class WeightSpec:
 def moment_weight(w: WeightSpec) -> WeightSpec:
     """The index-shifted twin gamma(s-1), whose sequence values at 1, 2, ...
     are w's moments; it drives the K/E saddle asymptotics."""
-    return replace(w, arg_shift=w.arg_shift - 1.0,
-                   _moment_cache={}, _lock=threading.Lock())
+    return replace(w, arg_shift=w.arg_shift - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +482,6 @@ def moment_weight(w: WeightSpec) -> WeightSpec:
 def eval_gamma(w: WeightSpec, s):
     """gamma(s) on the sector; raises DomainError/OverflowError per contract."""
     return w.gamma(s)
-
-
-def eval_log_gamma(w: WeightSpec, s):
-    return w.log_gamma(s)
 
 
 def log_L(w: WeightSpec, s):
@@ -378,20 +501,17 @@ def eval_L_eps(w: WeightSpec, s, h_rel: float = 1e-6):
 
 
 def eval_eps(w: WeightSpec, s, h_rel: float = 1e-6, force_numeric: bool = False):
-    if not force_numeric:
-        fn = w.custom_eps if w.family == "custom" else \
-            _FAMILIES[w.family].analytic_eps
-        if fn is not None:
-            sa = s + w.arg_shift
-            if isinstance(sa, complex) or np.iscomplexobj(sa):
-                sa = complex(sa)
-            eps = (w.custom_eps(sa) if w.family == "custom"
-                   else fn(w.pdict, sa))
-            if w.arg_shift:
-                # eps of the re-anchored function gamma(s + shift):
-                # the log(gamma)/s term divides by the outer s, not s+shift
-                eps = eps + w.log_gamma(s) * (1.0 / sa - 1.0 / s)
-            return eps
+    fn = w.record.eps
+    if fn is not None and not force_numeric:
+        sa = s + w.arg_shift
+        if isinstance(sa, complex) or np.iscomplexobj(sa):
+            sa = complex(sa)
+        eps = fn(w._p, sa)
+        if w.arg_shift:
+            # eps of the re-anchored function gamma(s + shift):
+            # the log(gamma)/s term divides by the outer s, not s+shift
+            eps = eps + w.log_gamma(s) * (1.0 / sa - 1.0 / s)
+        return eps
     h = h_rel * abs(s)
     dlogL = (log_L(w, s + h) - log_L(w, s - h)) / (2 * h)
     return s * dlogL
@@ -418,6 +538,34 @@ class SaddlePoint:
         return float(np.angle(self.s_z))
 
 
+def _ray_root(f, lo: float, xtol: float = 1e-12, rtol: float = 1e-15) -> float:
+    """Root of an increasing function f on [lo, inf); lo itself when
+    f(lo) >= 0.
+
+    The bracket end doubles from 2 lo until f changes sign, then brentq
+    refines it.  After 200 doublings the search gives up with NoConvergence
+    rather than hand brentq an interval without a sign change.
+    """
+    if f(lo) >= 0:
+        return lo
+    hi = 2.0 * lo
+    for _ in range(200):
+        fhi = f(hi)
+        if fhi >= 0:
+            return brentq(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=200)
+        hi *= 2.0
+    raise NoConvergence(f"no sign change on the ray up to {hi / 2:.3g}",
+                        last_iterate=hi / 2, residual=abs(fhi))
+
+
+def L_inverse(w: WeightSpec, r: float) -> float:
+    """L^{-1}(r) on the ray, clamped below at max(min_real + 1, 2)."""
+    target = math.log(r)
+    return _ray_root(lambda k: float(np.real(log_L(w, k))) - target,
+                     max(w.min_real + 1.0, 2.0), xtol=1e-9,
+                     rtol=4 * np.finfo(float).eps)
+
+
 def _saddle_threshold(w: WeightSpec) -> float:
     return math.exp(_profile(w, max(w.rho0, w.min_real + 1.0)))
 
@@ -426,7 +574,8 @@ def solve_saddle(w: WeightSpec, z, tol: float = 1e-10,
                  max_iter: int = 80) -> SaddlePoint:
     """Solve log L(s) + eps(s) = log z for s in the sector.
 
-    Real positive z uses monotone bracketing on the ray; complex z runs a
+    Real positive z uses monotone bracketing on the ray (NoConvergence when
+    the saddle lies past the bracket's reach, ~2^200 rho0); complex z runs a
     damped Newton iteration started from the real-axis solution for |z|.
     """
     z = complex(z)
@@ -438,19 +587,8 @@ def solve_saddle(w: WeightSpec, z, tol: float = 1e-10,
             f"|z|={abs(z):.4g} below saddle threshold {zmin:.4g} for "
             f"{w.describe()}")
     target = math.log(abs(z))
-    lo = max(w.rho0, w.min_real + 1.0)
-    hi = 2.0 * lo
-    flo = _profile(w, lo) - target
-    for _ in range(200):
-        fhi = _profile(w, hi) - target
-        if flo * fhi <= 0:
-            break
-        hi *= 2.0
-        if hi > 1e300:
-            raise NoConvergence("no real-axis bracket for the saddle profile",
-                                last_iterate=hi, residual=abs(fhi))
-    rho = brentq(lambda r: _profile(w, r) - target, lo, hi, xtol=1e-12,
-                 rtol=1e-15, maxiter=200)
+    rho = _ray_root(lambda r: _profile(w, r) - target,
+                    max(w.rho0, w.min_real + 1.0))
 
     def h(s):
         return log_L(w, s) + eval_eps(w, s) - np.log(z)
@@ -497,15 +635,7 @@ def rho_of_r(w: WeightSpec, r: float, tol: float = 1e-12) -> float:
     target = math.log(r)
     if _profile(w, lo) - target > 0:
         raise DomainError(f"r={r:.4g} below the evaluable profile range")
-    hi = 2.0 * lo
-    for _ in range(200):
-        if _profile(w, hi) - target >= 0:
-            break
-        hi *= 2
-    else:
-        raise DomainError("r beyond bracketing range")
-    rho = brentq(lambda u: _profile(w, u) - target, lo, hi, xtol=1e-12,
-                 rtol=1e-15, maxiter=200)
+    rho = _ray_root(lambda u: _profile(w, u) - target, lo)
     resid = abs(math.exp(_profile(w, rho)) - r) / r
     if resid > max(tol, 1e-9):
         raise NoConvergence("rho(r) residual too large", last_iterate=rho,
@@ -518,18 +648,12 @@ def rho_of_r(w: WeightSpec, r: float, tol: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 
 def log_abs_gamma_imag(w: WeightSpec, rho: float) -> float:
-    """log |gamma(i rho)|.
-
-    gamma_power (unshifted) uses the reflection closed form
-    |Gamma(1+iy)|^2 = pi y / sinh(pi y); everything else takes the real part
-    of the principal-branch log composition.
-    """
-    if w.family == "gamma_power" and w.arg_shift == 0.0:
-        y = rho / w.pdict["alpha"]
-        # log sinh(pi y) = pi y - log 2 + log1p(-exp(-2 pi y))
-        lsh = math.pi * y - math.log(2.0) + math.log1p(-math.exp(-2 * math.pi * y)) \
-            if y > 1e-8 else math.log(math.sinh(math.pi * y))
-        return 0.5 * (math.log(math.pi) + math.log(y) - lsh)
+    """log |gamma(i rho)|: the family's closed form where it declares one
+    (the reflection formula for gamma_power), otherwise the real part of the
+    principal-branch log composition."""
+    closed = w.closed("log_abs_gamma_imag")
+    if closed is not None:
+        return closed(rho)
     return float(np.real(w.log_gamma(1j * rho)))
 
 
@@ -616,27 +740,20 @@ def _ratio_form_log(w: WeightSpec, n: int) -> Optional[float]:
 
 
 def gamma_hat_closed_log(family: str, params: dict, n: int) -> float:
-    """Closed-form log ghat_n for the five tabulated families."""
+    """Closed-form log ghat_n for the families whose table entry has one."""
     if n < 3:
         raise DomainError("closed forms are asymptotic; need n >= 3")
-    lf = gammaln(n + 1.0)
-    ln = math.log(n)
-    if family == "log_power":
-        a = params["alpha"]
-        return lf + n * math.log(2.0 / (math.pi * a) * ln)
-    if family == "loglog_power":
-        b = params["beta"]
-        return lf + n * math.log(2.0 / (math.pi * b) * ln * math.log(ln))
-    if family == "exp_logpower":
-        a = params["alpha"]
-        return lf + n * math.log(2.0 / (math.pi * a) * ln ** (1.0 - a))
-    if family == "exp_log_over_loglog":
-        a = params["alpha"]
-        return lf + n * math.log(2.0 / (math.pi * a) * math.log(ln))
-    if family == "gamma_power":
-        a = params["alpha"]
-        return lf + n * math.log(2.0 / math.pi * a)
-    raise UnsupportedFamily(f"no closed gamma-hat for family {family!r}")
+    factor = getattr(_FAMILIES.get(family), "ghat_factor", None)
+    if factor is None:
+        raise UnsupportedFamily(f"no closed gamma-hat for family {family!r}")
+    return gammaln(n + 1.0) + n * math.log(factor(params, math.log(n)))
+
+
+def gamma_hat_closed_ratio(family: str, params: dict) -> Optional[dict]:
+    """Ratio asymptotics {"p", "q"} of the closed ghat_n,
+    ghat_n/ghat_{n+1} ~ c / (n^p log^q n); None without a closed form."""
+    ratio = getattr(_FAMILIES.get(family), "ghat_ratio", None)
+    return None if ratio is None else ratio(params)
 
 
 def gamma_hat_closed(family: str, params: dict, n: int) -> float:

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
+from momentsum import errors
 from momentsum.cli import RunConfig, main, parse_series, parse_weight, run
 
 EULER_SUM_X1 = 0.59634736232319407
@@ -146,14 +148,6 @@ class TestDeterminismAndConfig:
         _, out2, _ = _run_main(capsys, argv)
         assert out1 == out2
 
-    def test_threads_env_same_result(self, capsys, monkeypatch):
-        argv = ["verify", "--suite", "shift", "--weight",
-                "gamma_power:alpha=1"]
-        _, out1, _ = _run_main(capsys, argv)
-        monkeypatch.setenv("MOMENTSUM_THREADS", "4")
-        _, out2, _ = _run_main(capsys, argv)
-        assert out1 == out2
-
     def test_config_file_mode(self, capsys, tmp_path):
         cfg = {"command": "sum", "weight": "gamma_power:alpha=1",
                "series": "euler", "x": 1.0}
@@ -162,6 +156,49 @@ class TestDeterminismAndConfig:
         code, out, _ = _run_main(capsys, ["--config", str(p)])
         assert code == 0
         assert abs(float(out.split()[0]) - EULER_SUM_X1) < 1e-6
+
+
+class TestVerifyApplicability:
+    def test_all_skips_shift_without_classical_kernel(self, capsys, tmp_path):
+        code, out, _ = _run_main(capsys, ["verify", "--suite", "all",
+                                          "--weight", "gamma_power:alpha=2",
+                                          "--out", str(tmp_path)])
+        assert code == 0
+        checks = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        assert checks and all(ln.startswith("[PASS]") for ln in checks)
+        assert not any("shift/" in ln for ln in checks)
+        report = json.loads((tmp_path / "verify.json").read_text())["report"]
+        shift = [r for r in report if r["suite"] == "shift"]
+        assert len(shift) == 1 and shift[0]["applicable"] is False
+
+    def test_explicit_shift_on_nonclassical_weight_is_named(self, capsys):
+        code, _, err = _run_main(capsys, ["verify", "--suite", "shift",
+                                          "--weight", "gamma_power:alpha=2"])
+        assert code == 1
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "DomainError"
+
+
+README_FAMILIES = ["gamma_power:alpha=1", "log_power:alpha=1",
+                   "loglog_power:beta=1", "exp_logpower:alpha=0.5",
+                   "exp_log_over_loglog:alpha=1", "iterated_log:k=1"]
+SWEEP_ARGS = {"sum": [], "gammahat": [], "kernel": [], "euler": [],
+              "verify": ["--suite", "all"]}
+
+
+@pytest.mark.parametrize("command", list(SWEEP_ARGS))
+@pytest.mark.parametrize("weight", README_FAMILIES)
+def test_family_command_sweep(capsys, tmp_path, weight, command):
+    """Every README family under every cheap command either succeeds or
+    exits 1 naming a MomentSumError; exit 2 is for config errors only."""
+    code, _, err = _run_main(capsys, [command, "--weight", weight,
+                                      "--out", str(tmp_path)]
+                             + SWEEP_ARGS[command])
+    assert code in (0, 1), err
+    if code == 1:
+        m = re.search(r'^\{"error": "(\w+)"', err, re.M)
+        assert m, err
+        cls = getattr(errors, m.group(1), None)
+        assert isinstance(cls, type) and issubclass(cls, errors.MomentSumError), err
 
 
 def test_console_script_subprocess():

@@ -194,6 +194,12 @@ def test_probe_csv(tmp_path):
     row = lines[3].split(",")
     assert float(row[1]) == pytest.approx(math.exp(-0.5), rel=1e-9)
     assert float(row[4]) < 1e-8
+    # abs_err measures Mellin against the canonical kernel 2 t exp(-t^2),
+    # not the textbook exp(-t^2), which is 0.37 away at t = 1.05
+    path = kernel_probe_csv(W2, [1.05], tmp_path / "probe2.csv")
+    t, kc, km, _, err = open(path).read().splitlines()[2].split(",")
+    assert float(kc) == pytest.approx(2 * 1.05 * math.exp(-1.05 ** 2), rel=1e-11)
+    assert float(err) < 1e-8
 
 
 def test_omega_boundary_inconclusive():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from momentsum.errors import DomainError, UnsupportedFamily
+from momentsum.errors import DomainError, MomentSumError, UnsupportedFamily
 from momentsum.weights import (WeightSpec, admissibility_report, eval_L_eps,
                                eval_eps, eval_gamma, gamma_hat_closed,
                                gamma_hat_closed_log, gamma_hat_numeric,
@@ -123,6 +123,12 @@ class TestSaddle:
     def test_below_threshold_raises(self):
         with pytest.raises(DomainError):
             solve_saddle(W1, 1e-3)
+
+    def test_saddle_past_bracket_reach_is_named(self):
+        # log_power's saddle for z = 1e3 sits near e^1000, beyond the 200
+        # doublings of the bracket: a named error, not scipy's ValueError
+        with pytest.raises(MomentSumError):
+            solve_saddle(WeightSpec.log_power(1.0), 1e3)
 
 
 class TestRhoOfR:
