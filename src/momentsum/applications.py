@@ -111,7 +111,9 @@ class MultiSumPlan:
             return sum(w.log_gamma(s) for w in ws)
 
         label = "*".join(w.describe() for w in ws)
-        min_real = max(w.min_real for w in ws)
+        # every factor checks its own sector, so the product is evaluable
+        # on the ray only right of each factor's sector vertex too
+        min_real = max(max(w.min_real, -w.shift_c) for w in ws)
         return WeightSpec.custom(ev, min_real=min_real,
                                  rho0=max(w.rho0 for w in ws),
                                  complex_capable=all(w.complex_capable for w in ws),

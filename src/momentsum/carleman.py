@@ -20,7 +20,8 @@ from scipy.special import gammaln
 
 from .errors import DomainError, NonPositivePoint
 from .kernels import EntireE
-from .weights import WeightSpec, gamma_hat_closed_log, gamma_hat_closed_ratio
+from .weights import (WeightSpec, gamma_hat_closed_log, gamma_hat_closed_ratio,
+                      gamma_hat_numeric)
 
 # ---------------------------------------------------------------------------
 # Stirling numbers (exact, memoized)
@@ -181,6 +182,15 @@ class SequenceM:
             lambda n: gamma_hat_closed_log(family, params, max(n, n_floor)),
             label=f"ghat[{family}]",
             symbolic=gamma_hat_closed_ratio(family, params))
+
+    @staticmethod
+    def gamma_hat_of(w: WeightSpec) -> "SequenceM":
+        """ghat_n of the weight itself: the family's closed form where the
+        family declares one, the numeric supremum otherwise."""
+        if w.arg_shift == 0.0 and w.record.ghat_factor is not None:
+            return SequenceM.from_gamma_hat(w.family, w.pdict)
+        return SequenceM(lambda n: gamma_hat_numeric(w, n).log_value,
+                         label=f"ghat[{w.describe()}]")
 
     @staticmethod
     def from_moments(w: WeightSpec) -> "SequenceM":

@@ -317,8 +317,7 @@ def _cmd_classes(cfg: RunConfig) -> int:
         raise ValueError(f"unknown function preset {cfg.function!r}")
     M = SequenceM.factorial_power(1.0)
     if cfg.class_tag == "B":
-        N = SequenceM.from_gamma_hat("gamma_power",
-                                     {"alpha": w.pdict.get("alpha", 1.0)})
+        N = SequenceM.gamma_hat_of(w)
         Mgamma = SequenceM.from_moments(w)
         fit = fit_class_constant("B", f, M=Mgamma, N=N, eta=1.1,
                                  interval=(0.05, 0.5), n_max=cfg.n_max, n_min=1)

@@ -26,13 +26,16 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import (DecayTooSlow, DomainError, MomentSumError, SaddleFailure,
-                     TruncationError, UnsupportedFamily)
+from .errors import (DecayTooSlow, DomainError, MomentSumError, NoConvergence,
+                     QuadratureStall, SaddleFailure, TruncationError,
+                     UnsupportedFamily)
 from .weights import (LOG_FLOAT_MAX, L_inverse, WeightSpec, eval_eps,
                       gamma_hat_numeric, log_L, log_L_hat, moment_weight,
                       solve_saddle)
 
-_LOG_TINY = -745.0
+_EPS = np.finfo(float).eps
+_LOG_TINY = -750.0           # exp() of anything below is 0 in floats
+_MELLIN_SAMPLES = 1 << 16    # samples per half line before Mellin gives up
 
 
 # ---------------------------------------------------------------------------
@@ -98,29 +101,70 @@ class EntireE:
         raise TruncationError(
             f"no tail domination after {self.n_cap} terms at |z|={az:.3g}")
 
+    def _log_moments(self, ns):
+        """log mu_n for an integer array ns >= 0 in one weight call."""
+        return np.real(self.weight.log_gamma(ns.astype(float)))
+
     def log_series_real(self, x: float, rel_tol: Optional[float] = None) -> float:
-        """log E(x) for real x >= 0 via log-scale summation."""
+        """log E(x) for real x >= 0: a log-sum-exp over the terms within 60
+        nats of the largest.
+
+        The log terms n log x - log mu_n are concave in n, so the peak is
+        where their increment changes sign (doubling, then bisection).  The
+        window grows from the peak in chunks of 12 widths of the Gaussian
+        the terms follow there, until both ends are 60 nats down.  A window
+        of more than ``n_cap`` terms raises TruncationError.
+        """
         if x < 0:
             raise DomainError("log_series_real needs x >= 0")
+        lm0 = self.weight.moment_log(0)
         if x == 0.0:
-            return -self.weight.moment_log(0)
+            return -lm0
         lx = math.log(x)
-        logs = []
-        best = -math.inf
-        n = 0
-        while n <= self.n_cap:
-            lt = n * lx - self._log_mu_upto(n)[n]
-            logs.append(lt)
-            best = max(best, lt)
-            # stop once past the peak and 60 nats below it
-            if n > 4 and lt < best - 60.0 and logs[-2] > lt:
-                break
-            n += 1
-        else:
-            raise TruncationError(f"series cap hit at x={x:.3g}")
-        arr = np.array(logs)
-        m = arr.max()
-        return float(m + math.log(np.exp(arr - m).sum()))
+
+        def probe(n):
+            # (increment of the log term past n >= 1, chunk width at n)
+            lm = self._log_moments(np.arange(n - 1, n + 2))
+            curv = lm[0] - 2 * lm[1] + lm[2]
+            width = int(12.0 / math.sqrt(curv)) + 16 if curv > 0 else math.inf
+            return lx - (lm[2] - lm[1]), width
+
+        peak = 0
+        if lx > self.weight.moment_log(1) - lm0:
+            lo, hi = 0, 1
+            while True:
+                inc, width = probe(hi)
+                if inc <= 0:
+                    break
+                if hi > self.n_cap and 2 * width > self.n_cap:
+                    raise TruncationError(f"series peak beyond reach at x={x:.3g}")
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if probe(mid)[0] > 0 else (lo, mid)
+            peak = hi
+        chunk = probe(peak)[1] if peak else 64
+        if 2 * chunk >= self.n_cap:
+            raise TruncationError(f"series peak beyond reach at x={x:.3g}")
+        first, last = max(peak - chunk, 0), peak + chunk
+        ns = np.arange(first, last + 1)
+        logs = ns * lx - self._log_moments(ns)
+        while len(logs) <= self.n_cap:
+            top = logs.max()
+            grow_left = first > 0 and logs[0] > top - 60.0
+            grow_right = logs[-1] > top - 60.0
+            if not (grow_left or grow_right):
+                return float(top + math.log(np.exp(logs - top).sum()))
+            if grow_left:
+                ns = np.arange(max(first - chunk, 0), first)
+                logs = np.concatenate((ns * lx - self._log_moments(ns), logs))
+                first = int(ns[0])
+            if grow_right:
+                ns = np.arange(last + 1, last + chunk + 1)
+                logs = np.concatenate((logs, ns * lx - self._log_moments(ns)))
+                last = int(ns[-1])
+        raise TruncationError(f"more than {self.n_cap} series terms within "
+                              f"60 nats of the peak at x={x:.3g}")
 
     def eval(self, z) -> complex:
         cf = self._closed
@@ -210,21 +254,18 @@ class KernelK:
     """Moment kernel with int_0^inf t^n K(t) dt = mu_n.
 
     ``eval`` uses the exact kernel when the weight declares one and
-    otherwise integrates t^{-z} gamma(z-1) along the vertical line
-    Re z = ``contour_abscissa`` (Mellin inversion of the moment-anchored
-    weight); ``asymptotic`` applies the saddle-point formula.
+    otherwise inverts the Mellin transform of the moment-anchored weight
+    (``mellin``); ``asymptotic`` applies the saddle-point formula.
     """
 
     weight: WeightSpec
     mellin_tol: float = 1e-10
-    contour_abscissa: float = field(init=False)
     _mw: WeightSpec = field(init=False, repr=False)
     _closed: Optional[Callable] = field(init=False, repr=False)
     _log_abs_closed: Optional[Callable] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._mw = moment_weight(self.weight)
-        self.contour_abscissa = max(1.0, self._mw.min_real + 0.75)
         self._closed = self.weight.closed("kernel")
         self._log_abs_closed = self.weight.closed("log_abs_kernel")
 
@@ -240,25 +281,58 @@ class KernelK:
         """log |K(t)| for complex t via the closed form (overflow-safe)."""
         return None if self._log_abs_closed is None else self._log_abs_closed(t)
 
-    # -- Mellin line integral ----------------------------------------------
+    # -- Mellin inversion ----------------------------------------------------
 
-    def _mellin_height(self, tol):
-        c = self.contour_abscissa
-        lg0 = float(np.real(self._mw.log_gamma(c)))
-        h = 1.0
-        for _ in range(60):
-            lg = float(np.real(self._mw.log_gamma(complex(c, h))))
-            if lg < lg0 + math.log(tol):
-                return h
-            h *= 1.7
-        raise DecayTooSlow(
-            f"|gamma({c}+iy)| not below tol*peak by y={h:.3g}")
+    def _abscissa(self, log_t: float):
+        """The real saddle c of phi(z) = log gamma~(z) - z log t, where phi
+        is smallest on the real axis, and the width sigma = phi''(c)^(-1/2)
+        of the integrand's peak across it.
+
+        A log grid of c brackets the minimum and a safeguarded Newton step
+        on finite differences refines it to within sigma.  c stays inside
+        the twin's evaluable half-plane and its sector.
+        """
+        mw = self._mw
+        lo = max(mw.min_real, -mw.shift_c)
+        cs = lo + 10.0 ** np.arange(-3.0, 12.0, 1.0 / 3.0)
+        cs = cs[cs < mw.max_real]
+        phi = np.real(mw.log_gamma(cs)) - cs * log_t
+        k = int(np.where(np.isnan(phi), np.inf, phi).argmin())
+        a, b = cs[max(k - 1, 0)], cs[min(k + 1, len(cs) - 1)]
+        c, sigma = cs[k], 1.0
+        for _ in range(40):
+            h = min(1e-3 * max(1.0, abs(c)), 0.5 * (c - lo))
+            f = np.real(mw.log_gamma(c + np.array([-h, 0.0, h])))
+            d1 = (f[2] - f[0]) / (2 * h) - log_t
+            d2 = (f[2] - 2 * f[1] + f[0]) / h ** 2
+            if not d2 > 0:
+                break
+            sigma = d2 ** -0.5
+            if d1 > 0:
+                b = c
+            else:
+                a = c
+            new = c - d1 / d2
+            if not a < new < b:
+                new = 0.5 * (c + (a if d1 > 0 else b))
+            step, c = abs(new - c), new
+            if step <= sigma:
+                break
+        return c, sigma
 
     def mellin(self, t, tol: Optional[float] = None):
-        """K(t) = (1/2 pi i) int t^{-z} gamma(z-1) dz along Re z = c.
+        """K(t) = (1/2 pi i) int t^{-z} gamma~(z) dz along Re z = c.
 
-        Returns (value, imag_residual); the imaginary part doubles as a
-        conjugate-symmetry self-check and must sit below tol.
+        The line crosses the real axis at the saddle c (``_abscissa``), and
+        the integral over y = Im z is a trapezoidal sum, which converges
+        exponentially for this analytic integrand.  The sum starts with step
+        0.8 sigma.  The window in y doubles until its outer quarter holds
+        less than 1e-3 tol of the integral (DecayTooSlow past 2^16 samples),
+        and the step halves until one halving moves the sum by at most
+        ``tol`` of the result (of 1e-3 of the integral of |integrand| where
+        the result cancels) or the result underflows.  Returns (value, err):
+        err is the change under that last halving plus the rounding of the
+        samples.
         """
         tol = tol or self.mellin_tol
         tc = complex(t)
@@ -266,25 +340,54 @@ class KernelK:
             raise DomainError("Mellin kernel evaluation needs Re t > 0")
         if abs(np.angle(tc)) > math.pi / 2 - 0.05:
             raise DomainError("Mellin line integral valid for |arg t| < pi/2")
-        c = self.contour_abscissa
-        H = self._mellin_height(tol * 1e-3)
-        logt = np.log(tc)
+        mw = self._mw
+        log_t = np.log(tc)
+        real = tc.imag == 0
+        c, sigma = self._abscissa(log_t.real)
+        phi0 = mw.log_gamma(c) - c * log_t
 
-        def integrand(y, part):
-            zz = complex(c, y)
-            v = np.exp(self._mw.log_gamma(zz) - zz * logt)
-            return v.real if part == 0 else v.imag
+        def pairs(y):
+            # F(y) + F(-y), F(y) = exp(phi(c + iy) - phi(c)); conjugate
+            # symmetry halves the work for real t
+            z = c + 1j * (y if real else np.concatenate((y, -y)))
+            F = np.exp(mw.log_gamma(z) - z * log_t - phi0)
+            return 2.0 * F.real if real else F[:len(y)] + F[len(y):]
 
-        re, re_err = quad(integrand, -H, H, args=(0,), epsabs=tol * 1e-2,
-                          epsrel=tol * 1e-2, limit=400)
-        im, _ = quad(integrand, -H, H, args=(1,), epsabs=tol * 1e-2,
-                     epsrel=tol * 1e-2, limit=400)
-        value = (re + 1j * im) / (2 * math.pi)
-        resid = abs(im) / (2 * math.pi)
-        if tc.imag == 0 and resid > max(tol, 10 * re_err):
-            raise DecayTooSlow(
-                f"imaginary residual {resid:.2e} above tolerance {tol:.2e}")
-        return (value.real if tc.imag == 0 else value), resid
+        h = 0.4 * sigma                 # the fine step; the coarse one is 2h
+        n = 20
+        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+            vals = pairs(h * np.arange(1, n + 1))
+            while True:
+                total = h * (1.0 + vals.sum())
+                mass = h * (1.0 + np.abs(vals).sum())
+                if not np.isfinite(mass):
+                    raise DecayTooSlow(f"Mellin integrand not finite at t={t}")
+                scale = max(abs(total), 1e-3 * mass)
+                if h * np.abs(vals[3 * n // 4:]).sum() > 1e-3 * tol * scale:
+                    if n >= _MELLIN_SAMPLES:
+                        raise DecayTooSlow("Mellin integrand has not decayed "
+                                           f"by |y|={h * n:.3g}")
+                    vals = np.concatenate(
+                        (vals, pairs(h * np.arange(n + 1, 2 * n + 1))))
+                    n *= 2
+                    continue
+                err = abs(total - 2 * h * (1.0 + vals[1::2].sum()))
+                if err <= tol * scale or phi0.real + math.log(mass) < _LOG_TINY:
+                    break
+                if n >= _MELLIN_SAMPLES:
+                    raise QuadratureStall(f"Mellin sum at step {h:.3g} still "
+                                          f"moves by {err / scale:.2e}")
+                fine = np.empty(2 * n, dtype=vals.dtype)
+                fine[0::2], fine[1::2] = pairs(h * (np.arange(n) + 0.5)), vals
+                vals, h, n = fine, h / 2, 2 * n
+        # rounding: each sample carries the relative error of phi, whose
+        # terms are as large as log gamma~(c) and c log t
+        err += 4 * _EPS * (abs(phi0 + c * log_t) + abs(c * log_t) + 1.0) * mass
+        factor = np.exp(phi0) / (2 * math.pi)
+        with np.errstate(under="ignore"):
+            value = factor * total
+        return (float(value.real) if real else complex(value)), \
+            float(abs(factor) * err)
 
     # -- saddle asymptotics --------------------------------------------------
 
@@ -292,7 +395,7 @@ class KernelK:
         """Saddle-point value sqrt(s/(2 pi eps)) exp(-s eps) for the kernel."""
         try:
             sp = solve_saddle(self._mw, t)
-        except (DomainError,) as exc:
+        except (DomainError, NoConvergence) as exc:
             raise SaddleFailure(str(exc)) from exc
         s = sp.s_z
         eps = eval_eps(self._mw, s)
@@ -407,13 +510,6 @@ def verify_three_E(w: WeightSpec, eta: float, delta: Optional[float] = None,
     E = EntireE(w)
     K = KernelK(w)
     ts = np.geomspace(*t_range, n_pts)
-    if K.log_abs_closed(1.0) is None:
-        # Mellin evaluation cannot resolve K below ~e^-30 of the integrand
-        # scale, so the kernel variant probes only where E is moderate
-        capped = [t for t in ts if E.log_eval_real(t) < 30.0]
-        ts_k = np.array(capped) if len(capped) >= 4 else ts[:4]
-    else:
-        ts_k = ts
     deltas = [delta] if delta is not None else \
         [0.9 * (1 - eta), 0.5 * (1 - eta), 0.25 * (1 - eta)]
     found = None
@@ -422,7 +518,7 @@ def verify_three_E(w: WeightSpec, eta: float, delta: Optional[float] = None,
         g = np.array([E.log_eval_real(t * d) + E.log_eval_real(t * eta)
                       - E.log_eval_real(t) for t in ts])
         gk = np.array([E.log_eval_real(t * d) + E.log_eval_real(t * eta)
-                       + K.log_abs(t) for t in ts_k])
+                       + K.log_abs(t) for t in ts])
         per_delta[d] = {"log_C": float(np.max(g)), "log_C_kernel": float(np.max(gk)),
                         "stable": _stability(g)}
         if found is None and _stability(g) and _stability(gk):
@@ -448,9 +544,15 @@ def verify_K1_deriv(w: WeightSpec, n_max: int = 6, delta: Optional[float] = None
         eps_lim = float(np.real(eval_eps(mw, 1e6)))
         delta = 0.25 if eps_lim < 0.05 else \
             0.1 + (math.sqrt(1.0 + 2.0 * math.pi * eps_lim) - 1.0) / 2.0
-    k = KernelK(w)
-    c = k.contour_abscissa
-    H = k._mellin_height(1e-14)
+    c = max(1.0, mw.min_real + 0.75)
+    lg0 = float(np.real(mw.log_gamma(c)))
+    H = 1.0
+    for _ in range(60):
+        if float(np.real(mw.log_gamma(complex(c, H)))) < lg0 + math.log(1e-14):
+            break
+        H *= 1.7
+    else:
+        raise DecayTooSlow(f"|gamma({c}+iy)| not below tol*peak by y={H:.3g}")
     ghat = [gamma_hat_numeric(mw, n).log_value for n in range(n_max + 1)]
     ts = np.linspace(*t_range, n_pts)
 

@@ -185,6 +185,26 @@ def _fixed(value):
     return None if value is None else (lambda p: value)
 
 
+def _array_or_pointwise(evaluator):
+    """log gamma of a custom weight from its evaluator.  Arrays go to the
+    evaluator whole unless it rejects them with TypeError (one that calls
+    ``complex(s)``, say); from then on this weight maps them point by point."""
+    whole = True
+
+    def log_gamma(p, s):
+        nonlocal whole
+        if isinstance(s, np.ndarray):
+            if whole:
+                try:
+                    return evaluator(s)
+                except TypeError:
+                    whole = False
+            return np.array([evaluator(v) for v in s.ravel().tolist()]
+                            ).reshape(s.shape)
+        return evaluator(s)
+    return log_gamma
+
+
 def _log_abs_of(kernel):
     def log_abs_K(t):
         v = kernel(t)
@@ -345,14 +365,16 @@ class WeightSpec:
                complex_capable=True, kernel=None, entire=None,
                max_real=math.inf, label="custom", **kw) -> "WeightSpec":
         """A user weight.  ``evaluator(s)`` returns log gamma(s) for complex
-        ``s`` (real-only when ``complex_capable`` is False); ``eps(s)`` is an
+        ``s`` (real-only when ``complex_capable`` is False), elementwise for
+        a numpy array if it can (an evaluator that raises TypeError on an
+        array is then called point by point); ``eps(s)`` is an
         optional analytic eps; ``kernel(t)`` and ``entire(z)`` declare the
         closed forms of K and E, which then replace Mellin inversion and the
         series exactly as a built-in family's table entry does."""
         if evaluator is None:
             raise DomainError("custom weight needs an evaluator")
         record = _Family(
-            "custom", lambda p, s: evaluator(s),
+            "custom", _array_or_pointwise(evaluator),
             None if eps is None else (lambda p, s: eps(s)),
             _fixed(min_real), rho0, max_real, complex_capable,
             kernel=_fixed(kernel), entire=_fixed(entire),
@@ -398,14 +420,22 @@ class WeightSpec:
         """gamma(s) = Gamma(1 + s): moments n!, K = e^-t and E = exp."""
         return self.closed("moments") is math.factorial
 
-    def in_sector(self, s) -> bool:
-        w = complex(s) + self.shift_c
-        return abs(np.angle(w)) < self.sector_half_angle
+    def in_sector(self, s):
+        """Whether s lies in the sector; elementwise for an array."""
+        return np.abs(np.angle(s + self.shift_c)) < self.sector_half_angle
 
     # -- evaluation ----------------------------------------------------------
 
     def log_gamma(self, s):
-        """Principal-branch log gamma(s) on the sector (complex-capable)."""
+        """Principal-branch log gamma(s) on the sector (complex-capable).
+
+        ``s`` is a number or a numpy array; an array is checked against the
+        sector and evaluated in one call.
+        """
+        if isinstance(s, np.ndarray):
+            if not self.in_sector(s).all():
+                raise DomainError(f"points outside sector of {self.describe()}")
+            return self.record.log_gamma(self._p, s + self.arg_shift)
         if not self.in_sector(s):
             raise DomainError(f"s={s} outside sector of {self.describe()}")
         s = s + self.arg_shift

@@ -239,3 +239,21 @@ class TestRegularFacts:
         M = SequenceM(lambda n: 2 * gammaln(n + 1.0), label="m=n!")
         rf = regular_sequence_facts(M, n_max=120)
         assert not rf.slowly_varying
+
+
+def test_gamma_hat_sequence_of_the_weight_itself():
+    # class B's N sequence: the weight's own closed ghat where its family
+    # declares one, the numeric supremum otherwise
+    from momentsum.weights import gamma_hat_closed_log, gamma_hat_numeric
+    N = SequenceM.gamma_hat_of(WeightSpec.log_power(2.0))
+    for n in (5, 12, 30):
+        assert N.logM(n) == gamma_hat_closed_log(
+            "log_power", {"alpha": 2.0, "beta": 0.0}, n)
+    w = WeightSpec.iterated_log(1)
+    N = SequenceM.gamma_hat_of(w)
+    for n in (3, 8):
+        assert N.logM(n) == gamma_hat_numeric(w, n).log_value
+    old = SequenceM.from_gamma_hat("gamma_power", {"alpha": 2.0})
+    N = SequenceM.gamma_hat_of(WeightSpec.gamma_power(2.0))
+    assert [N.logM(n) for n in range(12)] == [old.logM(n) for n in range(12)]
+    assert N.label == old.label and N.symbolic == old.symbolic

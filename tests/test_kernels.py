@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -223,3 +224,99 @@ def test_asymptotic_below_threshold_is_saddle_failure():
     from momentsum.errors import SaddleFailure
     with pytest.raises(SaddleFailure):
         KernelK(WeightSpec.gamma_power(1.0)).asymptotic(0.2)
+
+
+# -- Mellin inversion on the saddle line and the windowed E sum ---------------
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+def test_mellin_relative_accuracy_over_the_ray(alpha):
+    # the canonical kernel alpha t^(alpha-1) exp(-t^alpha), to 1e-10
+    # relative wherever it is a normal float; below that the value must
+    # underflow too, not sit on an absolute error floor
+    k = KernelK(WeightSpec.gamma_power(alpha))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in np.geomspace(1e-2, 50.0, 40):
+            v, err = k.mellin(t)
+            log_ref = math.log(alpha) + (alpha - 1.0) * math.log(t) - t ** alpha
+            if log_ref > math.log(1e-300):
+                ref = math.exp(log_ref)
+                assert abs(v - ref) <= 1e-10 * ref
+                assert abs(v - ref) <= err
+            else:
+                assert abs(v) <= 1e-300
+
+
+def test_mellin_complex_argument():
+    k = KernelK(W2)
+    t = 1.2 * np.exp(0.3j)
+    v, err = k.mellin(t)
+    assert v == pytest.approx(k.closed(t), rel=1e-10)
+    assert err < 1e-10 * abs(v)
+
+
+def test_asymptotic_saddle_out_of_reach_is_saddle_failure(tmp_path):
+    # the loglog_power saddle for t = 20 lies past the ray search's reach;
+    # the probe then leaves K_asymptotic empty instead of aborting
+    from momentsum.errors import SaddleFailure
+    w = WeightSpec.loglog_power(1.0)
+    with pytest.raises(SaddleFailure):
+        KernelK(w).asymptotic(20.0)
+    path = kernel_probe_csv(w, [20.0], tmp_path / "probe.csv")
+    row = open(path).read().splitlines()[2].split(",")
+    assert row[3] == "nan"
+
+
+@pytest.mark.parametrize("x", [34.0, 50.0, 100.0])
+def test_entire_alpha3_series_at_large_x(x):
+    # E_{1/3}(x) = 3 exp(x^3) + O(1/x); the series answers, not the
+    # leading-order saddle formula, which is 1e-5 off here
+    got = EntireE(WeightSpec.gamma_power(3.0)).log_eval_real(x)
+    assert got == pytest.approx(x ** 3 + math.log(3.0), rel=1e-13)
+
+
+# log E(x) summed term by term from n = 0 until 60 nats below the peak
+LOOP_LOG_E = [
+    (WeightSpec.gamma_power(3.0), 0.7, 1.1307507304821391),
+    (WeightSpec.gamma_power(3.0), 4.0, 65.0986122886681),
+    (WeightSpec.gamma_power(3.0), 12.5, 1954.223612288669),
+    (WeightSpec.gamma_power(3.0), 30.0, 27001.09861228868),
+    (WeightSpec.gamma_power(0.5), 0.7, 0.3154667705747434),
+    (WeightSpec.gamma_power(0.5), 9.0, 2.3093285045777856),
+    (WeightSpec.iterated_log(1), 0.7, 0.5984703763628094),
+    (WeightSpec.iterated_log(1), 4.0, 9.424712860110956),
+    (WeightSpec.iterated_log(1), 9.0, 359.64280112415406),
+]
+
+
+@pytest.mark.parametrize("w,x,want", LOOP_LOG_E)
+def test_windowed_log_series_matches_full_sum(w, x, want):
+    assert EntireE(w).log_series_real(x) == pytest.approx(want, rel=1e-14)
+
+
+def test_windowed_log_series_caps():
+    # n_cap bounds the terms in the window, not the peak index: for
+    # mu_n = Gamma(1 + 2n), E(x) = cosh(sqrt(x)) and the terms at x = 4e6
+    # peak near n = 1000 in a window of ~600
+    E = EntireE(WeightSpec.gamma_power(0.5), n_cap=1000)
+    assert E.log_series_real(4e6) == pytest.approx(2000.0 - math.log(2.0),
+                                                   rel=1e-14)
+    with pytest.raises(TruncationError):
+        EntireE(WeightSpec.gamma_power(3.0)).log_series_real(150.0)
+    from momentsum.errors import DomainError
+    with pytest.raises(DomainError):
+        EntireE(WeightSpec.log_power(1.0)).log_series_real(2.0)
+
+
+def test_three_E_kernel_variant_over_full_range():
+    # the product kernel 4 t K_0(2 t) is ~1e-172 at t = 200: Mellin now
+    # resolves it, so the kernel variant probes the whole t range
+    from scipy.special import k0e
+    from momentsum.applications import MultiSumPlan
+    prod = MultiSumPlan([W2, W2]).product_weight()
+    r = verify_kernel_lemma("three_E", prod, eta=0.5)
+    assert all(math.isfinite(d["log_C_kernel"])
+               for d in r.measured["per_delta"].values())
+    t = 200.0
+    want = math.log(4 * t * k0e(2 * t)) - 2 * t
+    assert KernelK(prod).log_abs(t) == pytest.approx(want, rel=1e-12)

@@ -316,3 +316,14 @@ def test_borel_contour_alpha2_mittag_leffler():
     for x in (0.3, 0.6):
         v = borel_contour(g, w2, x, 0)
         assert abs(v - complex(wofz(-1j * x))) < 5e-6
+
+
+def test_moment_sum_polynomial_under_iterated_log():
+    # the Beurling weight has no closed kernel, so every Laplace node is a
+    # Mellin inversion; a polynomial series must come back as itself
+    coeffs = (1, -2, 3, 0, 1)
+    a = FormalSeries(tuple(Fraction(c) for c in coeffs))
+    res = moment_sum(a, WeightSpec.iterated_log(1), 1.0, continuation="poly",
+                     tol=1e-9)
+    assert res.value == pytest.approx(3.0, abs=1e-8)
+    assert abs(res.value - 3.0) <= res.abs_error_estimate

@@ -274,3 +274,37 @@ def test_gamma_hat_unbounded_sup_raises():
     w = WeightSpec.custom(lambda s: s, min_real=0.5, label="exp_s")
     with pytest.raises(BracketError):
         gamma_hat_numeric(w, 3)
+
+
+class TestArrayLogGamma:
+    def test_array_matches_scalar_calls(self):
+        # real points (the moments) agree bit for bit; complex arithmetic
+        # may round differently in numpy and in Python
+        ns = np.arange(0.0, 40.0, 3.0)
+        zs = np.array([0.5, 2.0 + 1.5j, 7.0 - 30.0j, 40.0])
+        for w in (W1, WeightSpec.gamma_power(3.0), WeightSpec.iterated_log(1),
+                  moment_weight(WeightSpec.gamma_power(2.0))):
+            assert list(w.log_gamma(ns)) == [w.log_gamma(float(n)) for n in ns]
+            got = w.log_gamma(zs)
+            assert got.shape == zs.shape
+            for z, g in zip(zs, got):
+                assert g == pytest.approx(w.log_gamma(complex(z)), rel=1e-15)
+
+    def test_scalar_only_evaluator_is_mapped_pointwise(self):
+        calls = []
+
+        def ev(s):
+            calls.append(s)
+            return complex(s) * 0.5
+        w = WeightSpec.custom(ev, min_real=0.0, label="half")
+        zs = np.array([1.0, 2.0, 3.0 + 1.0j])
+        assert list(w.log_gamma(zs)) == [0.5, 1.0, 1.5 + 0.5j]
+        # the evaluator rejected the whole array once; later arrays go
+        # point by point straight away
+        n = len(calls)
+        w.log_gamma(zs)
+        assert len(calls) == n + 3
+
+    def test_array_outside_sector_is_named(self):
+        with pytest.raises(DomainError):
+            W1.log_gamma(np.array([1.0, -5.0 + 0.1j]))
