@@ -14,11 +14,11 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from .carleman import SequenceM, check_regularity, denjoy_carleman_classify
-from .errors import (DomainError, NonQuasianalytic, OrderingError, PZeroOnRay)
+from .errors import (DomainError, MomentSumError, NonQuasianalytic,
+                     OrderingError, PZeroOnRay)
 from .kernels import KernelK
 from .transforms import (FormalSeries, FunctionHandle, SummationResult,
-                         borel_coeffs, continue_borel_series,
-                         laplace_quadrature, moment_sum)
+                         borel_coeffs, laplace_quadrature, moment_sum)
 from .weights import WeightSpec
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,7 @@ def factor_weight_sequence(M: SequenceM, k: int, n_max: int = 60):
 
 @dataclass
 class MultiSumPlan:
-    """Stage list for f = L_{gamma_k} ... L_{gamma_1} B_{gamma_1...gamma_k} f."""
+    """Weights of f = L_{gamma_k} ... L_{gamma_1} B_{gamma_1...gamma_k} f."""
 
     weights: List[WeightSpec]
     continuation: object = "pade"        # as in moment_sum
@@ -135,59 +135,27 @@ class MultiSumPlan:
 
 
 def multisum(a: FormalSeries, plan: MultiSumPlan, x: float) -> SummationResult:
-    """Borel step with the product weight, then one Laplace stage per weight.
+    """Borel step with the product weight, the continuation, and one Laplace
+    integral against the product kernel.
 
-    Each stage wraps the previous stage's values in a quadrature-backed
-    FunctionHandle; errors carry the stage index.
+    By Fubini the k nested Laplace transforms L_{gamma_k} ... L_{gamma_1}
+    are one Laplace transform against K_1 * ... * K_k, the kernel whose
+    moments are the products of the stages' moments; that is the kernel of
+    ``plan.product_weight()``.  Errors name the plan.
     """
-    wp = plan.product_weight()
-    if len(plan.weights) == 1:
-        return moment_sum(a, wp, x, continuation=plan.continuation,
-                          tol=plan.tol)
-    b = borel_coeffs(a, wp)
-    F, cont_diag = continue_borel_series(b, plan.continuation)
-
-    total_err = 0.0
-    panels = 0
-    stage_results = []
-    from .errors import MomentSumError
-    for i, w in enumerate(plan.weights, start=1):
-        K = KernelK(w)
-        if i < len(plan.weights):
-            prev = F
-
-            def ev(xx, _prev=prev, _K=K, _i=i):
-                try:
-                    r = laplace_quadrature(_prev, _K, float(xx), tol=plan.tol)
-                except MomentSumError as exc:
-                    raise type(exc)(f"stage {_i}: {exc}") from exc
-                return r.value
-
-            # each Laplace stage divides one factor out of the growth scale:
-            # the result grows like E of the remaining product
-            if F.growth_eta > 0:
-                rest = MultiSumPlan(plan.weights[i:]).product_weight()
-                F = FunctionHandle(ev, None, growth_eta=F.growth_eta,
-                                   growth_weight=rest, label=f"stage{i}")
-            else:
-                F = FunctionHandle(ev, None, growth_eta=0.0,
-                                   label=f"stage{i}")
-            stage_results.append(f"stage{i}:quadrature-backed")
-        else:
-            try:
-                res = laplace_quadrature(F, K, x, tol=plan.tol)
-            except Exception as exc:
-                raise type(exc)(f"stage {i}: {exc}") from exc
-            total_err += res.abs_error_estimate
-            panels += res.panels
-            res.method = "multisum"
-            res.abs_error_estimate = total_err + plan.tol * (len(plan.weights) - 1)
-            res.diagnostics.update(cont_diag)
-            res.diagnostics["stages"] = stage_results + [f"stage{i}:final"]
-            res.diagnostics["plan"] = plan.label or \
-                [w.describe() for w in plan.weights]
-            return res
-    raise DomainError("empty plan")  # unreachable
+    try:
+        res = moment_sum(a, plan.product_weight(), x,
+                         continuation=plan.continuation, tol=plan.tol)
+    except MomentSumError as exc:
+        name = plan.label or " * ".join(w.describe() for w in plan.weights)
+        raise type(exc)(f"plan {name}: {exc}") from exc
+    res.method = "multisum"
+    # the continuation handle's own error is not measured yet (a stage
+    # handle such as E carries its rel_tol); tol per collapsed stage
+    # stands for it until the error budget measures it
+    res.abs_error_estimate += plan.tol * (len(plan.weights) - 1)
+    res.diagnostics["plan"] = plan.label or [w.describe() for w in plan.weights]
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -170,13 +170,6 @@ class SequenceM:
             label=f"n!*log^{alpha:g}n", symbolic={"p": 1.0, "q": alpha})
 
     @staticmethod
-    def beurling_log(alpha: float = 1.0) -> "SequenceM":
-        # M_n = log^{alpha n}(n + e), sub-factorial
-        return SequenceM(
-            lambda n: alpha * n * math.log(math.log(n + math.e)),
-            label=f"log^{alpha:g}n", symbolic={"p": 0.0, "q": 0.0})
-
-    @staticmethod
     def from_gamma_hat(family: str, params: dict, n_floor: int = 3) -> "SequenceM":
         return SequenceM(
             lambda n: gamma_hat_closed_log(family, params, max(n, n_floor)),

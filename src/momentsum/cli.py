@@ -19,7 +19,8 @@ from .errors import MomentSumError
 from .extensions import TaylorField, dbar_measure
 from .kernels import EntireE, KernelK, kernel_probe_csv, verify_kernel_lemma
 from .transforms import FormalSeries, FunctionHandle, moment_sum
-from .weights import WeightSpec, gamma_hat_closed_log, gamma_hat_numeric
+from .weights import (_FAMILIES, WeightSpec, gamma_hat_closed_log,
+                      gamma_hat_numeric)
 
 _COMMANDS = ("sum", "multisum", "kernel", "gammahat", "verify", "euler",
              "classes")
@@ -79,8 +80,12 @@ class RunConfig:
 
 
 def parse_weight(text: str) -> WeightSpec:
-    """family:key=value[,...] -> WeightSpec."""
+    """family:key=value[,...] -> WeightSpec for a family of the table;
+    ValueError (a config error) for anything else."""
     family, _, rest = text.partition(":")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown weight family {family!r} "
+                         f"(choose from {', '.join(_FAMILIES)})")
     kwargs = {}
     if rest:
         for item in rest.split(","):
@@ -88,10 +93,10 @@ def parse_weight(text: str) -> WeightSpec:
             if not val:
                 raise ValueError(f"malformed weight parameter {item!r}")
             kwargs[key.strip()] = int(val) if key.strip() == "k" else float(val)
-    ctor = getattr(WeightSpec, family, None)
-    if ctor is None or family == "custom":
-        raise ValueError(f"unknown weight family {family!r}")
-    return ctor(**kwargs)
+    try:
+        return getattr(WeightSpec, family)(**kwargs)
+    except TypeError as exc:       # a missing or unknown parameter
+        raise ValueError(f"weight {text!r}: {exc}") from exc
 
 
 def parse_series(text: str, length: int = 24) -> tuple:
@@ -317,8 +322,10 @@ def _cmd_classes(cfg: RunConfig) -> int:
         raise ValueError(f"unknown function preset {cfg.function!r}")
     M = SequenceM.factorial_power(1.0)
     if cfg.class_tag == "B":
-        N = SequenceM.gamma_hat_of(w)
         Mgamma = SequenceM.from_moments(w)
+        for n in range(cfg.n_max + 1):   # lazy: fail before the costly fit
+            Mgamma.logM(n)
+        N = SequenceM.gamma_hat_of(w)
         fit = fit_class_constant("B", f, M=Mgamma, N=N, eta=1.1,
                                  interval=(0.05, 0.5), n_max=cfg.n_max, n_min=1)
     else:

@@ -29,9 +29,9 @@ from scipy.integrate import quad
 from .errors import (DecayTooSlow, DomainError, MomentSumError, NoConvergence,
                      QuadratureStall, SaddleFailure, TruncationError,
                      UnsupportedFamily)
-from .weights import (LOG_FLOAT_MAX, L_inverse, WeightSpec, eval_eps,
-                      gamma_hat_numeric, log_L, log_L_hat, moment_weight,
-                      solve_saddle)
+from .weights import (LOG_FLOAT_MAX, L_inverse, WeightSpec,
+                      _array_or_pointwise, eval_eps, gamma_hat_numeric, log_L,
+                      log_L_hat, moment_weight, solve_saddle)
 
 _EPS = np.finfo(float).eps
 _LOG_TINY = -750.0           # exp() of anything below is 0 in floats
@@ -263,10 +263,12 @@ class KernelK:
     _mw: WeightSpec = field(init=False, repr=False)
     _closed: Optional[Callable] = field(init=False, repr=False)
     _log_abs_closed: Optional[Callable] = field(init=False, repr=False)
+    _grid: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._mw = moment_weight(self.weight)
-        self._closed = self.weight.closed("kernel")
+        closed = self.weight.closed("kernel")
+        self._closed = closed and _array_or_pointwise(closed)
         self._log_abs_closed = self.weight.closed("log_abs_kernel")
 
     # -- canonical closed form --------------------------------------------
@@ -283,111 +285,192 @@ class KernelK:
 
     # -- Mellin inversion ----------------------------------------------------
 
-    def _abscissa(self, log_t: float):
-        """The real saddle c of phi(z) = log gamma~(z) - z log t, where phi
-        is smallest on the real axis, and the width sigma = phi''(c)^(-1/2)
-        of the integrand's peak across it.
+    def _abscissa(self, log_t):
+        """For an array of log t, as lists: the real saddles c of phi(z) = log
+        gamma~(z) - z log t, where phi is smallest on the real axis; the
+        widths sigma = phi''(c)^(-1/2) of the integrand's peak across the
+        line; and, where the saddle lies left of the half-plane and c is
+        clamped at its edge, the slope phi'(c) > 0: the rate of the
+        integrand's linear phase t^(-iy) there (zero elsewhere).
 
-        A log grid of c brackets the minimum and a safeguarded Newton step
-        on finite differences refines it to within sigma.  c stays inside
-        the twin's evaluable half-plane and its sector.
+        A log grid of c, shared by all nodes and by all calls (its weight
+        values are computed once), brackets each minimum, and a
+        safeguarded Newton step on finite differences refines each to
+        within sigma, with one weight call per step for all nodes.  c stays
+        inside the twin's evaluable half-plane and its sector.
         """
         mw = self._mw
         lo = max(mw.min_real, -mw.shift_c)
-        cs = lo + 10.0 ** np.arange(-3.0, 12.0, 1.0 / 3.0)
-        cs = cs[cs < mw.max_real]
-        phi = np.real(mw.log_gamma(cs)) - cs * log_t
-        k = int(np.where(np.isnan(phi), np.inf, phi).argmin())
-        a, b = cs[max(k - 1, 0)], cs[min(k + 1, len(cs) - 1)]
-        c, sigma = cs[k], 1.0
+        if self._grid is None:
+            cs = lo + 10.0 ** np.arange(-3.0, 12.0, 1.0 / 3.0)
+            cs = cs[cs < mw.max_real]
+            lg = np.real(mw.log_gamma(cs))
+            self._grid = cs, np.where(np.isnan(lg), np.inf, lg)
+        cs, lg = self._grid
+        k = (lg - log_t[:, None] * cs).argmin(axis=1)
+        a, b, c = (cs[k - (k > 0)].tolist(), cs[k + (k < len(cs) - 1)].tolist(),
+                   cs[k].tolist())
+        sigma, slope = [1.0] * len(c), [0.0] * len(c)
+        lts, live = log_t.tolist(), list(range(len(c)))
         for _ in range(40):
-            h = min(1e-3 * max(1.0, abs(c)), 0.5 * (c - lo))
-            f = np.real(mw.log_gamma(c + np.array([-h, 0.0, h])))
-            d1 = (f[2] - f[0]) / (2 * h) - log_t
-            d2 = (f[2] - 2 * f[1] + f[0]) / h ** 2
-            if not d2 > 0:
+            if not live:
                 break
-            sigma = d2 ** -0.5
-            if d1 > 0:
-                b = c
-            else:
-                a = c
-            new = c - d1 / d2
-            if not a < new < b:
-                new = 0.5 * (c + (a if d1 > 0 else b))
-            step, c = abs(new - c), new
-            if step <= sigma:
-                break
-        return c, sigma
+            hs = [min(1e-3 * max(1.0, abs(c[i])), 0.5 * (c[i] - lo))
+                  for i in live]
+            f = np.real(mw.log_gamma(np.array(
+                [(c[i] - h, c[i], c[i] + h) for i, h in zip(live, hs)]))).tolist()
+            nxt = []
+            for i, h, (fm, f0, fp) in zip(live, hs, f):
+                d1 = (fp - fm) / (2 * h) - lts[i]
+                d2 = (fp - 2 * f0 + fm) / h ** 2
+                slope[i] = d1
+                if not d2 > 0:
+                    continue
+                sigma[i] = d2 ** -0.5
+                if d1 > 0:
+                    b[i] = c[i]
+                else:
+                    a[i] = c[i]
+                new = c[i] - d1 / d2
+                if not a[i] < new < b[i]:
+                    new = 0.5 * (c[i] + (a[i] if d1 > 0 else b[i]))
+                slope[i] = d1 + d2 * (new - c[i])
+                if abs(new - c[i]) > sigma[i]:
+                    nxt.append(i)
+                c[i] = new
+            live = nxt
+        return c, sigma, [d if ci <= cs[0] else 0.0 for ci, d in zip(c, slope)]
 
-    def mellin(self, t, tol: Optional[float] = None):
-        """K(t) = (1/2 pi i) int t^{-z} gamma~(z) dz along Re z = c.
+    def _line_sums(self, t, tol, log_floor=_LOG_TINY):
+        """Trapezoidal sums of K(t) = (1/2 pi i) int t^{-z} gamma~(z) dz for
+        an array of t, in log scale: returns (real, log_factor, total, err)
+        with K = exp(log_factor) * total and err in the units of total.
 
-        The line crosses the real axis at the saddle c (``_abscissa``), and
-        the integral over y = Im z is a trapezoidal sum, which converges
-        exponentially for this analytic integrand.  The sum starts with step
-        0.8 sigma.  The window in y doubles until its outer quarter holds
-        less than 1e-3 tol of the integral (DecayTooSlow past 2^16 samples),
-        and the step halves until one halving moves the sum by at most
-        ``tol`` of the result (of 1e-3 of the integral of |integrand| where
-        the result cancels) or the result underflows.  Returns (value, err):
+        The nodes are sorted by log t and cut into runs whose saddles lie
+        within one sigma of the run's first; each run shares one vertical
+        line Re z = c.  On that line the integrand of node j is
+        exp(phi_j(c + iy) - phi_j(c)), so a run costs one weight call per
+        refinement and one (nodes x samples) matrix exponent.  The sum
+        starts with 40 samples per half line at step 0.4 sigma, less where
+        a node's phase turns faster than its peak is wide (a clamped
+        saddle, or a node off the shared saddle), so that the coarse step
+        2h still resolves it.  The window
+        in y doubles until, for every node, its outer quarter holds less
+        than 1e-3 tol of the integral (DecayTooSlow past 2^16 samples), and
+        the step halves until one halving moves each node's sum by at most
+        ``tol`` of its result (of 1e-3 of the integral of |integrand| where
+        the result cancels) or the node's result lies below exp(log_floor).
         err is the change under that last halving plus the rounding of the
         samples.
         """
-        tol = tol or self.mellin_tol
-        tc = complex(t)
-        if tc.real <= 0 and tc.imag == 0:
+        ta = np.atleast_1d(np.asarray(t))
+        real = not (np.iscomplexobj(ta) and ta.imag.any())
+        if real:
+            ta = np.asarray(ta.real, dtype=float)
+        if ((ta.real <= 0) & (ta.imag == 0)).any():
             raise DomainError("Mellin kernel evaluation needs Re t > 0")
-        if abs(np.angle(tc)) > math.pi / 2 - 0.05:
+        log_t = np.log(ta)
+        if not real and (np.abs(log_t.imag) > math.pi / 2 - 0.05).any():
             raise DomainError("Mellin line integral valid for |arg t| < pi/2")
+        c, sigma, slope = self._abscissa(log_t.real)
+        order = np.argsort(log_t.real, kind="stable").tolist()
+        kind = float if real else complex
+        log_factor, total = np.empty(len(ta), kind), np.empty(len(ta), kind)
+        err = np.empty(len(ta))
+        while order:
+            first = order[0]
+            stop = 1
+            while stop < len(order) and \
+                    abs(c[order[stop]] - c[first]) <= sigma[first]:
+                stop += 1
+            run, order = order[:stop], order[stop:]
+            cg, sg = c[first], min(sigma[j] for j in run)
+            # each node's phase rate on the shared line
+            rate = max(abs(slope[j] + (cg - c[j]) / sigma[j] ** 2) for j in run)
+            h = 0.4 * sg / (1.0 + 0.4 * sg * rate / math.pi)
+            log_factor[run], total[run], err[run] = self._run_sums(
+                cg, log_t[run], real, h, tol, log_floor)
+        return real, log_factor, total, err
+
+    def _run_sums(self, c, log_t, real, h, tol, log_floor):
+        """The saddle-line sums of one run of nodes on Re z = c."""
         mw = self._mw
-        log_t = np.log(tc)
-        real = tc.imag == 0
-        c, sigma = self._abscissa(log_t.real)
-        phi0 = mw.log_gamma(c) - c * log_t
 
-        def pairs(y):
-            # F(y) + F(-y), F(y) = exp(phi(c + iy) - phi(c)); conjugate
-            # symmetry halves the work for real t
-            z = c + 1j * (y if real else np.concatenate((y, -y)))
-            F = np.exp(mw.log_gamma(z) - z * log_t - phi0)
-            return 2.0 * F.real if real else F[:len(y)] + F[len(y):]
+        def pairs(y, lg=None):
+            # F_j(y) + F_j(-y), F_j(y) = exp(phi_j(c + iy) - phi_j(c));
+            # conjugate symmetry halves the work for real t.  lg: the
+            # weight's values at c + iy when already known
+            iy = 1j * (y if real else np.concatenate((y, -y)))
+            if lg is None:
+                lg = mw.log_gamma(c + iy)
+            F = np.exp(lg - lg_c - log_t[:, None] * iy)
+            return 2.0 * F.real if real else F[:, :len(y)] + F[:, len(y):]
 
-        h = 0.4 * sigma                 # the fine step; the coarse one is 2h
-        n = 20
+        n = 40
+        y = h * np.arange(1, n + 1)
+        # the first weight call also takes the crossing z = c, for phi_j(c)
+        ys = ([0.0], y) if real else ([0.0], y, -y)
+        lg = mw.log_gamma(c + 1j * np.concatenate(ys))
+        lg_c = lg[0].real if real else lg[0]
+        phi0 = lg_c - c * log_t
         with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-            vals = pairs(h * np.arange(1, n + 1))
+            # a node is done once its result lies below exp(log_floor)
+            small = np.exp(log_floor - phi0.real).tolist()
+            vals = pairs(y, lg[1:])
             while True:
-                total = h * (1.0 + vals.sum())
-                mass = h * (1.0 + np.abs(vals).sum())
-                if not np.isfinite(mass):
-                    raise DecayTooSlow(f"Mellin integrand not finite at t={t}")
-                scale = max(abs(total), 1e-3 * mass)
-                if h * np.abs(vals[3 * n // 4:]).sum() > 1e-3 * tol * scale:
+                # per node: the sums over even and odd samples (the odd
+                # ones, y = 2h, 4h, ..., make the coarse sum) and of |.|
+                # inside and over the outer quarter, tested in floats
+                size = np.abs(vals)
+                rows = zip(vals.reshape(len(vals), -1, 2).sum(axis=1).tolist(),
+                           np.add.reduceat(size, [0, 3 * n // 4], axis=1).tolist(),
+                           small)
+                total, mass, err, wide, done = [], [], [], False, True
+                for j, ((s_even, s_odd), (s_in, s_out), lim) in enumerate(rows):
+                    tot = h * (1.0 + s_even + s_odd)
+                    mas = h * (1.0 + s_in + s_out)
+                    if not math.isfinite(mas):
+                        raise DecayTooSlow("Mellin integrand not finite at "
+                                           f"t={np.exp(log_t[j]):.6g}")
+                    scale = max(abs(tot), 1e-3 * mas)
+                    wide = wide or h * s_out > 1e-3 * tol * scale
+                    e = abs(tot - 2 * h * (1.0 + s_odd))
+                    done = done and (e <= tol * scale or mas < lim)
+                    total.append(tot), mass.append(mas), err.append(e)
+                if wide:
                     if n >= _MELLIN_SAMPLES:
                         raise DecayTooSlow("Mellin integrand has not decayed "
                                            f"by |y|={h * n:.3g}")
                     vals = np.concatenate(
-                        (vals, pairs(h * np.arange(n + 1, 2 * n + 1))))
+                        (vals, pairs(h * np.arange(n + 1, 2 * n + 1))), axis=1)
                     n *= 2
                     continue
-                err = abs(total - 2 * h * (1.0 + vals[1::2].sum()))
-                if err <= tol * scale or phi0.real + math.log(mass) < _LOG_TINY:
+                if done:
                     break
                 if n >= _MELLIN_SAMPLES:
                     raise QuadratureStall(f"Mellin sum at step {h:.3g} still "
-                                          f"moves by {err / scale:.2e}")
-                fine = np.empty(2 * n, dtype=vals.dtype)
-                fine[0::2], fine[1::2] = pairs(h * (np.arange(n) + 0.5)), vals
+                                          f"moves by {max(err):.2e}")
+                fine = np.empty((len(log_t), 2 * n), dtype=vals.dtype)
+                fine[:, 0::2] = pairs(h * (np.arange(n) + 0.5))
+                fine[:, 1::2] = vals
                 vals, h, n = fine, h / 2, 2 * n
         # rounding: each sample carries the relative error of phi, whose
         # terms are as large as log gamma~(c) and c log t
-        err += 4 * _EPS * (abs(phi0 + c * log_t) + abs(c * log_t) + 1.0) * mass
-        factor = np.exp(phi0) / (2 * math.pi)
+        err = np.array(err) + 8 * _EPS * (abs(lg_c) + np.abs(c * log_t) + 1.0) \
+            * np.array(mass)
+        return phi0 - math.log(2 * math.pi), np.array(total), err
+
+    def mellin(self, t, tol: Optional[float] = None):
+        """K(t) by inverting the Mellin transform on a line through the
+        saddle (``_line_sums``), for a number or a numpy array of t.
+        Returns (value, err): floats for a number, arrays for an array."""
+        real, log_factor, total, err = self._line_sums(t, tol or self.mellin_tol)
         with np.errstate(under="ignore"):
-            value = factor * total
-        return (float(value.real) if real else complex(value)), \
-            float(abs(factor) * err)
+            factor = np.exp(log_factor)
+            value, err = factor * total, np.abs(factor) * err
+        if np.ndim(t) == 0:
+            return (float(value[0]) if real else complex(value[0])), float(err[0])
+        return value, err
 
     # -- saddle asymptotics --------------------------------------------------
 
@@ -408,17 +491,26 @@ class KernelK:
 
     # -- dispatch ------------------------------------------------------------
 
+    @property
+    def exact(self) -> bool:
+        """Whether K has a closed form (otherwise ``eval`` is Mellin)."""
+        return self._closed is not None
+
     def eval(self, t):
+        """K(t) for a number or a numpy array of t."""
         if self._closed is not None:
             return self._closed(t)
         return self.mellin(t)[0]
 
     def log_abs(self, t) -> float:
+        """log |K(t)|; without a closed form it is taken from the Mellin
+        sum in log scale, so it stays finite where K underflows."""
         if self._log_abs_closed is not None:
             return self._log_abs_closed(t)
-        val = self.mellin(t)[0]
-        a = abs(val)
-        return math.log(a) if a > 0 else -math.inf
+        _, log_factor, total, _ = self._line_sums(t, self.mellin_tol,
+                                                  log_floor=-math.inf)
+        a = abs(total[0])
+        return float(log_factor[0].real + math.log(a)) if a > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------

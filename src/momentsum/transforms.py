@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from .errors import (DegenerateDenominator, DerivativeUnavailable, DomainError,
                      IncompatibleGrowth, PoleOnRayWarning, QuadratureStall)
@@ -27,6 +27,7 @@ from .kernels import EntireE, KernelK
 from .weights import L_inverse, WeightSpec, log_L_hat, moment_weight
 
 MAX_FD_ORDER = 8  # finite-difference derivatives beyond this are ill-conditioned
+_EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +98,6 @@ class FormalSeries:
                 acc = acc - other[j] * out[k - j]
             out.append(acc / other[0])
         return FormalSeries(tuple(out))
-
-    def shift_up(self, factor=1) -> "FormalSeries":
-        """Multiply by x (degree raised by one), scaling by factor."""
-        f = Fraction(factor) if isinstance(factor, int) else factor
-        return FormalSeries((Fraction(0),) + tuple(f * v for v in self.coeffs))
 
     def eval(self, x):
         acc = 0.0
@@ -366,40 +362,6 @@ def _jsonable(v):
     return v
 
 
-def _choose_truncation(g: Callable, tol: float, t_cap: float):
-    """Walk the integrand up a log grid until it has decayed below
-    tol * peak; stops before evaluating past the cutoff (the factors may
-    overflow individually far beyond it even when the product decays)."""
-    t = 1e-3
-    peak = 0.0
-    below = 0
-    T = None
-    while t <= t_cap:
-        try:
-            v = abs(g(t))
-        except OverflowError:
-            raise QuadratureStall(
-                f"integrand factor overflow at t={t:.3g} before decay; "
-                "growth too close to the kernel scale")
-        if not math.isfinite(v):
-            raise QuadratureStall(f"integrand not finite at t={t:.3g}")
-        peak = max(peak, v)
-        if peak > 0 and t > 0.5 and v < max(peak * tol * 1e-2, 1e-300):
-            below += 1
-            if below >= 3:
-                T = t
-                break
-        else:
-            below = 0
-        t *= 1.12
-    if peak == 0.0:
-        return 1.0, 0.0, None
-    if T is None:
-        raise QuadratureStall(
-            f"integrand did not decay below tolerance by t_cap={t_cap:.3g}")
-    return T, peak, None
-
-
 def _growth_limit(F: FunctionHandle, K: KernelK) -> float:
     """Largest eta*x the kernel decay can absorb.
 
@@ -424,71 +386,178 @@ def _growth_limit(F: FunctionHandle, K: KernelK) -> float:
     return max(1.0, min(r16, r32))
 
 
+_DE_STEP = 0.5          # the first step in u
+_DE_FLOOR = 1e-3        # ends: terms below this fraction of tol * peak
+_DE_MAX_NODES = 1 << 14
+
+
+def _de_nodes(u):
+    """t = exp(u - e^-u) and dt/du: the exponential-decay DE map of the
+    real u line onto (0, inf)."""
+    e = np.exp(-u)
+    t = np.exp(u - e)
+    return t, t * (1.0 + e)
+
+
+def _real_on(fn, ts):
+    """Re fn on the node array ts (ascending): whole when fn takes arrays,
+    point by point when it rejects them (TypeError or ValueError); past a
+    node where a pointwise call overflows, the values read inf."""
+    try:
+        v = fn(ts)
+    except (TypeError, ValueError):
+        v = []
+        for t in ts.tolist():
+            try:
+                v.append(fn(t))
+            except OverflowError:
+                v += [math.inf] * (len(ts) - len(v))
+                break
+    return np.broadcast_to(np.real(np.asarray(v)), ts.shape).astype(float)
+
+
+def _de_integrate(g, tol: float, t_cap: float):
+    """int_0^inf g(t) dt by the trapezoidal rule in u, t = exp(u - e^-u)
+    (Takahashi & Mori 1974), level by level on node arrays.
+
+    ``g(ts)`` returns the integrand and its absolute error on an ascending
+    node array.  The first level, step 0.5, walks each end outward until
+    two consecutive terms lie below 1e-3 tol of the peak term (the right
+    end raises QuadratureStall past ``t_cap``).  Each next level halves the
+    step on the same range, until one halving moves the sum by at most
+    tol * max(1, |S|).  Returns (value, err, nodes, last node, peak |g|);
+    err is that last change, plus the nodes' own errors, plus a rounding
+    floor of a few ulps of the sum of |terms|.  A non-finite term inside
+    the range raises QuadratureStall.
+    """
+    h = _DE_STEP
+    ks = np.arange(-4, 7)                  # u in [-2, 3]: t in [8e-5, 19]
+    ts, ws = _de_nodes(ks * h)
+    gv, ge = g(ts)
+    while True:
+        terms = np.abs(gv * ws)
+        finite = np.isfinite(terms)
+        top = int(np.argmax(np.where(finite, terms, -1.0)))
+        if terms[top] == 0.0:
+            return 0.0, 0.0, len(ts), float(ts[-1]), 0.0
+        small = ~(terms > _DE_FLOOR * tol * terms[top])   # NaN is not small
+        lo = _decayed(small[top::-1], finite[top::-1])
+        hi = _decayed(small[top:], finite[top:])
+        grow = []
+        if lo is None:
+            if ts[0] < 1e-280:
+                raise QuadratureStall("integrand has not decayed at t -> 0")
+            grow += [ks[0] - 2, ks[0] - 1]
+        if hi is None:
+            if ts[-1] > t_cap:
+                raise QuadratureStall(f"integrand did not decay below "
+                                      f"tolerance by t_cap={t_cap:.3g}")
+            grow += [ks[-1] + 1, ks[-1] + 2]
+        if not grow:
+            break
+        new = np.array(grow)
+        nt, nw = _de_nodes(new * h)
+        nv, ne = g(nt)
+        ks, ts, ws, gv, ge = (np.concatenate(p) for p in zip(
+            (ks, ts, ws, gv, ge), (new, nt, nw, nv, ne)))
+        order = np.argsort(ks)
+        ks, ts, ws, gv, ge = ks[order], ts[order], ws[order], gv[order], ge[order]
+    keep = slice(top - lo, top + hi + 1)
+    ks, ws, gv, ge = ks[keep], ws[keep], gv[keep], ge[keep]
+    nodes = len(ts)
+    u_lo, u_hi = ks[0] * h, ks[-1] * h
+    T = float(_de_nodes(u_hi)[0])
+    if T > t_cap:
+        raise QuadratureStall(f"integrand did not decay below tolerance by "
+                              f"t_cap={t_cap:.3g}")
+    peak = float(np.abs(gv).max())
+    total = h * float(np.sum(gv * ws))
+    mass = h * float(np.sum(np.abs(gv * ws)))
+    node_err = h * float(np.sum(ge * ws))
+    while True:
+        u = np.arange(u_lo + h / 2, u_hi, h)
+        h /= 2
+        ts, ws = _de_nodes(u)
+        gv, ge = g(ts)
+        nodes += len(u)
+        if not np.all(np.isfinite(gv)):
+            raise QuadratureStall("integrand not finite inside the range")
+        coarse = total
+        total = coarse / 2 + h * float(np.sum(gv * ws))
+        mass = mass / 2 + h * float(np.sum(np.abs(gv * ws)))
+        node_err = node_err / 2 + h * float(np.sum(ge * ws))
+        peak = max(peak, float(np.abs(gv).max()))
+        change = abs(total - coarse)
+        if change <= tol * max(1.0, abs(total)):
+            break
+        if nodes > _DE_MAX_NODES:
+            raise QuadratureStall(f"DE sum at step {h:.3g} still moves by "
+                                  f"{change:.2e}")
+    return total, change + node_err + 8 * _EPS * mass, nodes, T, peak
+
+
+def _decayed(small, finite):
+    """Index, counted from the peak outward, of the second of the first two
+    consecutive small terms; None when the walk must go on.  A non-finite
+    term before that point raises QuadratureStall."""
+    for i in range(1, len(small)):
+        if not finite[i]:
+            raise QuadratureStall("integrand not finite before it decayed")
+        if small[i] and small[i - 1] and i > 1:
+            return i
+    return None
+
+
+def _integrand(F: FunctionHandle, K: KernelK, x: float, n: int = 0):
+    """g(ts) = F^(n)(x t) t^n K(t) on a node array, with its error
+    |F^(n)(x t)| t^n errK(t) from Mellin's per-node error."""
+    def g(ts):
+        with np.errstate(all="ignore"):
+            Fv = _real_on(lambda s: F.derivative(s, n), x * ts)
+            if K.exact:
+                Kv, Ke = np.real(K.eval(ts)), 0.0
+            else:
+                Kv, Ke = K.mellin(ts)
+            tn = ts ** n
+            return Fv * tn * Kv, np.abs(Fv) * tn * Ke
+    return g
+
+
 def laplace_quadrature(F: FunctionHandle, K: KernelK, x: float,
                        tol: float = 1e-9, t_cap: float = 1e6,
                        trace_path=None) -> SummationResult:
-    """f(x) = int_0^inf F(x t) K(t) dt by adaptive Gauss-Kronrod panels.
+    """f(x) = int_0^inf F(x t) K(t) dt by the double-exponential rule
+    (``_de_integrate``), with F and K evaluated on whole node arrays.
 
-    The upper limit T is placed where the integrand has fallen below
-    tol * peak (the E/K matching guarantees decay when the growth tag is
-    compatible); the discarded tail is estimated from the terminal decay rate
-    and added to the error estimate.  ``trace_path`` dumps integrand samples
-    to CSV on request.
+    ``panels`` counts the nodes and ``truncation_t0`` is the last one.
+    ``trace_path`` dumps 200 integrand samples on [0, T] to CSV on request.
     """
     if F.growth_eta * x >= _growth_limit(F, K):
         raise IncompatibleGrowth(
             f"growth tag eta={F.growth_eta} with x={x} leaves the kernel "
             "decay uncompensated (eta*x >= 1 at the kernel's scale)")
-
-    def g(t):
-        return float(np.real(F(x * t))) * float(np.real(K.eval(t)))
-
-    T, peak, _scan = _choose_truncation(g, tol, t_cap)
+    g = _integrand(F, K, x)
+    val, err, nodes, T, peak = _de_integrate(g, tol, t_cap)
     if trace_path is not None:
+        ts = np.linspace(0.0, T, 200)
+        gv = g(ts)[0]
         with open(trace_path, "w") as fh:
             fh.write(f"# integrand trace: x={x} tol={tol} T={T}\n")
             fh.write("t,integrand\n")
-            for t in np.linspace(0.0, T, 200):
-                fh.write(f"{t:.9g},{g(t):.12g}\n")
-    if peak == 0.0:
-        return SummationResult(0.0, 0.0, 0, "laplace_gk", T)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, err, info = quad(g, 0.0, T, epsabs=tol * 0.5,
-                                  epsrel=tol * 0.5, limit=300,
-                                  full_output=True)[:3]
-        except IntegrationWarning as exc:
-            raise QuadratureStall(str(exc)) from exc
-    # tail estimate from the last decade's decay rate
-    gT = abs(g(T))
-    g2 = abs(g(0.8 * T))
-    if g2 > 0 and gT > 0 and gT < g2:
-        rate = math.log(g2 / gT) / (0.2 * T)
-        tail = gT / max(rate, 1e-12)
-    else:
-        tail = gT * T
-    return SummationResult(val, err + tail, info["neval"], "laplace_gk", T,
-                           {"peak": peak})
+            for t, v in zip(ts, gv):
+                fh.write(f"{t:.9g},{v:.12g}\n")
+    return SummationResult(val, err, nodes, "laplace_de", T, {"peak": peak})
 
 
 def laplace_derivative_n(F: FunctionHandle, K: KernelK, x: float, n: int,
                          tol: float = 1e-9, t_cap: float = 1e6) -> float:
-    """f^(n)(x) = int F^(n)(x t) t^n K(t) dt (derivatives under the integral)."""
+    """f^(n)(x) = int F^(n)(x t) t^n K(t) dt (derivatives under the
+    integral), by the same rule as ``laplace_quadrature``."""
     if n == 0:
         return laplace_quadrature(F, K, x, tol, t_cap).value
     if F.growth_eta * x >= _growth_limit(F, K):
         raise IncompatibleGrowth("eta*x >= 1 at the kernel's scale")
-
-    def g(t):
-        return float(np.real(F.derivative(x * t, n))) * t ** n \
-            * float(np.real(K.eval(t)))
-
-    T, peak, _ = _choose_truncation(g, tol, t_cap)
-    if peak == 0.0:
-        return 0.0
-    val, err = quad(g, 0.0, T, epsabs=tol, epsrel=tol, limit=300)
-    return val
+    return _de_integrate(_integrand(F, K, x, n), tol, t_cap)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,8 @@ def _gp_kernel(p):
     a = p["alpha"]
 
     def K(t):
+        if isinstance(t, np.ndarray):
+            return a * t ** (a - 1.0) * np.exp(-t ** a)
         tc = complex(t)
         if tc.imag == 0 and tc.real >= 0:
             tr = tc.real
@@ -186,23 +188,24 @@ def _fixed(value):
 
 
 def _array_or_pointwise(evaluator):
-    """log gamma of a custom weight from its evaluator.  Arrays go to the
-    evaluator whole unless it rejects them with TypeError (one that calls
-    ``complex(s)``, say); from then on this weight maps them point by point."""
+    """A user callable extended to numpy arrays.  Arrays go to it whole
+    unless it rejects them with TypeError or ValueError (one that calls
+    ``complex(s)`` or branches on ``s >= 0``, say); from then on this
+    wrapper maps them point by point."""
     whole = True
 
-    def log_gamma(p, s):
+    def call(s):
         nonlocal whole
         if isinstance(s, np.ndarray):
             if whole:
                 try:
                     return evaluator(s)
-                except TypeError:
+                except (TypeError, ValueError):
                     whole = False
             return np.array([evaluator(v) for v in s.ravel().tolist()]
                             ).reshape(s.shape)
         return evaluator(s)
-    return log_gamma
+    return call
 
 
 def _log_abs_of(kernel):
@@ -366,15 +369,16 @@ class WeightSpec:
                max_real=math.inf, label="custom", **kw) -> "WeightSpec":
         """A user weight.  ``evaluator(s)`` returns log gamma(s) for complex
         ``s`` (real-only when ``complex_capable`` is False), elementwise for
-        a numpy array if it can (an evaluator that raises TypeError on an
-        array is then called point by point); ``eps(s)`` is an
+        a numpy array if it can (an evaluator that raises TypeError or
+        ValueError on an array is then called point by point, and so is
+        ``kernel``); ``eps(s)`` is an
         optional analytic eps; ``kernel(t)`` and ``entire(z)`` declare the
         closed forms of K and E, which then replace Mellin inversion and the
         series exactly as a built-in family's table entry does."""
         if evaluator is None:
             raise DomainError("custom weight needs an evaluator")
         record = _Family(
-            "custom", _array_or_pointwise(evaluator),
+            "custom", lambda p, s, f=_array_or_pointwise(evaluator): f(s),
             None if eps is None else (lambda p, s: eps(s)),
             _fixed(min_real), rho0, max_real, complex_capable,
             kernel=_fixed(kernel), entire=_fixed(entire),
@@ -433,7 +437,9 @@ class WeightSpec:
         sector and evaluated in one call.
         """
         if isinstance(s, np.ndarray):
-            if not self.in_sector(s).all():
+            # the half-plane right of the vertex lies inside the sector
+            # (half-angle > pi/2): angles are needed only left of it
+            if not (s.real > -self.shift_c).all() and not self.in_sector(s).all():
                 raise DomainError(f"points outside sector of {self.describe()}")
             return self.record.log_gamma(self._p, s + self.arg_shift)
         if not self.in_sector(s):
@@ -558,14 +564,6 @@ class SaddlePoint:
     z: complex
     s_z: complex
     residual: float
-
-    @property
-    def rho_z(self) -> float:
-        return abs(self.s_z)
-
-    @property
-    def theta_z(self) -> float:
-        return float(np.angle(self.s_z))
 
 
 def _ray_root(f, lo: float, xtol: float = 1e-12, rtol: float = 1e-15) -> float:

@@ -258,7 +258,7 @@ def test_plan_json_round_trip():
 
 
 def test_three_stage_plan_on_polynomials():
-    # triple-nested quadrature: one cheap probe at loose tolerance
+    # one cheap probe at loose tolerance
     plan = MultiSumPlan([W2, W2, W2], continuation="poly", tol=1e-6)
     a = FormalSeries(tuple(Fraction(c) for c in (2, -1, 3)))
     r = multisum(a, plan, 0.4)
@@ -266,13 +266,18 @@ def test_three_stage_plan_on_polynomials():
 
 
 def test_stage_error_carries_index():
-    # a pipeline failure surfaces with its stage tag
-    from momentsum.errors import MomentSumError
+    # the collapsed pipeline has no stages: a failure surfaces as its own
+    # named error, and the message names the plan
+    from momentsum.errors import IncompatibleGrowth
     bad = FunctionHandle(lambda t: math.exp(2.0 * t), growth_eta=2.0,
                          label="too-fast")
     plan = MultiSumPlan([W1, W1], continuation=bad)
-    with pytest.raises(MomentSumError, match="stage"):
+    with pytest.raises(IncompatibleGrowth,
+                       match=r"plan gamma_power\(alpha=1\) \* gamma_power"):
         multisum(FormalSeries((Fraction(1), Fraction(1))), plan, 0.9)
+    named = MultiSumPlan([W1, W1], continuation=bad, label="two-stage")
+    with pytest.raises(IncompatibleGrowth, match="plan two-stage"):
+        multisum(FormalSeries((Fraction(1), Fraction(1))), named, 0.9)
 
 
 def test_cauchy_identity_through_two_stages():
@@ -291,3 +296,33 @@ def test_cauchy_identity_through_two_stages():
     from momentsum.errors import IncompatibleGrowth
     with pytest.raises(IncompatibleGrowth):
         multisum(ones, plan, 1.3)
+
+
+PLANS = {"2-stage": [W2, W2], "3-stage": [W2, W2, W2],
+         "dup_split": [W2, dup_split_weight()]}
+
+
+@pytest.mark.parametrize("name", list(PLANS))
+def test_collapsed_multisum_reproduces_polynomials(name, monkeypatch):
+    # one Laplace integral against the product kernel per sum, within
+    # 1e-12 of the polynomial and within the estimate
+    import warnings
+    from momentsum import transforms
+    calls = []
+    rule = transforms.laplace_quadrature
+    monkeypatch.setattr(transforms, "laplace_quadrature",
+                        lambda *a, **k: calls.append(1) or rule(*a, **k))
+    plan = MultiSumPlan(PLANS[name], continuation="poly", tol=1e-9)
+    rng = random.Random(len(name))
+    cases = [((1, -2, 3), 0.3)] + [
+        (tuple(rng.randint(-9, 9) for _ in range(rng.randint(2, 20) + 1)),
+         rng.uniform(0.1, 0.8)) for _ in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coeffs, x in cases:
+            a = FormalSeries(tuple(Fraction(c) for c in coeffs))
+            r = multisum(a, plan, x)
+            err = abs(r.value - a.eval(x))
+            assert err <= 1e-12 * max(1.0, abs(a.eval(x)))
+            assert err <= r.abs_error_estimate
+    assert len(calls) == len(cases)

@@ -31,6 +31,18 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_weight("gamma_power:alpha")
 
+    @pytest.mark.parametrize("spec", ["describe", "custom", "to_json",
+                                      "gamma_power", "gamma_power:beta=1"])
+    def test_weight_flag_accepts_only_table_families(self, capsys, spec):
+        # a name that is not a family, or a missing parameter, is a config
+        # error (exit 2 with a message), not a traceback
+        with pytest.raises(ValueError):
+            parse_weight(spec)
+        code, _, err = _run_main(capsys, ["sum", "--weight", spec])
+        assert code == 2
+        msg = json.loads(err.strip().splitlines()[-1])
+        assert msg["error"] == "config" and spec.split(":")[0] in msg["message"]
+
     def test_series_presets(self):
         a, cont = parse_series("euler")
         assert a.coeffs[3] == -6 and cont == "pade"
@@ -208,3 +220,15 @@ def test_console_script_subprocess():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert abs(float(proc.stdout.split()[0]) - EULER_SUM_X1) < 1e-6
+
+
+def test_classes_b_checks_moments_before_the_fit(capsys):
+    # log_power(2) has no moment mu_0: the command fails at once with the
+    # named error instead of after the class fit
+    import time
+    t0 = time.perf_counter()
+    code, _, err = _run_main(capsys, ["classes", "--class-tag", "B",
+                                      "--weight", "log_power:alpha=2"])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 1
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "DomainError"

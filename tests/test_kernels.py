@@ -320,3 +320,48 @@ def test_three_E_kernel_variant_over_full_range():
     t = 200.0
     want = math.log(4 * t * k0e(2 * t)) - 2 * t
     assert KernelK(prod).log_abs(t) == pytest.approx(want, rel=1e-12)
+
+
+def _product_weight(*ws):
+    from momentsum.applications import MultiSumPlan
+    return MultiSumPlan(list(ws)).product_weight()
+
+
+def test_batched_mellin_matches_scalar_and_bessel_form():
+    # the gamma_power(2)^2 product kernel is 4 t K_0(2 t); one call on the
+    # node array and one call per node both land within 1e-10 of it, and
+    # both estimates cover their errors
+    from scipy.special import k0e
+    k = KernelK(_product_weight(W2, W2))
+    ts = np.geomspace(1e-5, 300.0, 36)
+    ref = 4 * ts * k0e(2 * ts) * np.exp(-2 * ts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, err = k.mellin(ts)
+        scalar = [k.mellin(t) for t in ts]
+    assert np.all(np.abs(v - ref) <= 1e-10)
+    assert np.all(np.abs(v - ref) <= err)
+    for (vs, es), r in zip(scalar, ref):
+        assert abs(vs - r) <= 1e-10 and abs(vs - r) <= es
+
+
+@pytest.mark.parametrize("t", [1e-20, 1e-150])
+def test_mellin_estimate_covers_at_clamped_abscissa(t):
+    # [gamma_power(2), dup_split] has moments n!, so K = e^-t.  For tiny t
+    # its saddle lies left of the half-plane and the line is clamped, where
+    # the integrand turns with phase t^(-iy); the step must resolve it
+    from test_applications import dup_split_weight
+    v, err = KernelK(_product_weight(W2, dup_split_weight())).mellin(t)
+    assert abs(v - math.exp(-t)) <= err
+
+
+def test_log_abs_stays_finite_where_kernel_underflows():
+    from scipy.special import k0e
+    prod = _product_weight(W2, W2)
+    t = 400.0
+    want = math.log(4 * t) + math.log(k0e(2 * t)) - 2 * t
+    assert KernelK(prod).log_abs(t) == pytest.approx(want, abs=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = OmegaDomain(prod, 1.0).membership(0.4)
+    assert m.member and math.isfinite(m.tail_slope)

@@ -327,3 +327,59 @@ def test_moment_sum_polynomial_under_iterated_log():
                      tol=1e-9)
     assert res.value == pytest.approx(3.0, abs=1e-8)
     assert abs(res.value - 3.0) <= res.abs_error_estimate
+
+
+# -- the double-exponential Laplace rule ----------------------------------------
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+def test_de_rule_reproduces_kernel_moments(alpha):
+    # int t^n K(t) dt = mu_n = Gamma(1 + n/alpha), within the estimate
+    K = KernelK(WeightSpec.gamma_power(alpha))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(11):
+            res = laplace_quadrature(FunctionHandle(lambda t, n=n: t ** n), K,
+                                     1.0, tol=1e-10)
+            want = math.gamma(1.0 + n / alpha)
+            assert abs(res.value - want) <= 1e-10 * want
+            assert abs(res.value - want) <= res.abs_error_estimate
+            assert res.panels > 0 and res.truncation_t0 > 1.0
+
+
+def test_laplace_derivative_against_closed_form():
+    # f(x) = L[1/(1+t)](x) = e^(1/x) E_1(1/x) / x, differentiated in mpmath
+    import mpmath
+    K = KernelK(W1)
+    with mpmath.workdps(30), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = lambda x: mpmath.exp(1 / x) * mpmath.e1(1 / x) / x
+        for x in (0.2, 0.5, 1.0):
+            for n in (1, 2, 4, 6):
+                want = float(mpmath.diff(f, mpmath.mpf(x), n))
+                got = laplace_derivative_n(RATIONAL_HANDLE, K, x, n, tol=1e-11)
+                assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_de_rule_maps_handles_that_reject_arrays():
+    # a branch on t >= 0 raises ValueError on an array, math.exp raises
+    # TypeError: both handles are mapped point by point
+    K = KernelK(W1)
+    branchy = FunctionHandle(lambda t: 1.0 / (1.0 + t) if t >= 0 else 0.0)
+    scalar = FunctionHandle(lambda t: math.exp(-t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert laplace_quadrature(branchy, K, 1.0, tol=1e-11).value == \
+            pytest.approx(EULER_SUM_X1, abs=1e-11)
+        assert laplace_quadrature(scalar, K, 1.0, tol=1e-11).value == \
+            pytest.approx(0.5, abs=1e-11)
+
+
+def test_de_rule_non_finite_term_is_a_named_stall():
+    # an integrand that turns infinite inside its range fails with
+    # QuadratureStall, never with a numpy RuntimeWarning
+    from momentsum.errors import QuadratureStall
+    bad = FunctionHandle(lambda t: np.where(t > 2.0, np.inf, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureStall):
+            laplace_quadrature(bad, KernelK(W1), 1.0, tol=1e-10)
