@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (DecayTooSlow, DomainError, MomentSumError, NoConvergence,
                      QuadratureStall, SaddleFailure, TruncationError,
@@ -269,7 +268,8 @@ class KernelK:
         self._mw = moment_weight(self.weight)
         closed = self.weight.closed("kernel")
         self._closed = closed and _array_or_pointwise(closed)
-        self._log_abs_closed = self.weight.closed("log_abs_kernel")
+        log_abs = self.weight.closed("log_abs_kernel")
+        self._log_abs_closed = log_abs and _array_or_pointwise(log_abs)
 
     # -- canonical closed form --------------------------------------------
 
@@ -341,7 +341,7 @@ class KernelK:
             live = nxt
         return c, sigma, [d if ci <= cs[0] else 0.0 for ci, d in zip(c, slope)]
 
-    def _line_sums(self, t, tol, log_floor=_LOG_TINY):
+    def _line_sums(self, t, tol, log_floor=_LOG_TINY, m=0):
         """Trapezoidal sums of K(t) = (1/2 pi i) int t^{-z} gamma~(z) dz for
         an array of t, in log scale: returns (real, log_factor, total, err)
         with K = exp(log_factor) * total and err in the units of total.
@@ -362,6 +362,10 @@ class KernelK:
         the result cancels) or the node's result lies below exp(log_floor).
         err is the change under that last halving plus the rounding of the
         samples.
+
+        With m > 0, total and err have one column per row j = 0..m of a
+        node: the sums of (-z)^j times its integrand, theta^j K(t) with
+        theta = t d/dt (see ``_run_sums``).
         """
         ta = np.atleast_1d(np.asarray(t))
         real = not (np.iscomplexobj(ta) and ta.imag.any())
@@ -375,8 +379,9 @@ class KernelK:
         c, sigma, slope = self._abscissa(log_t.real)
         order = np.argsort(log_t.real, kind="stable").tolist()
         kind = float if real else complex
-        log_factor, total = np.empty(len(ta), kind), np.empty(len(ta), kind)
-        err = np.empty(len(ta))
+        rows = (len(ta), m + 1) if m else len(ta)
+        log_factor, total = np.empty(len(ta), kind), np.empty(rows, kind)
+        err = np.empty(rows)
         while order:
             first = order[0]
             stop = 1
@@ -389,12 +394,24 @@ class KernelK:
             rate = max(abs(slope[j] + (cg - c[j]) / sigma[j] ** 2) for j in run)
             h = 0.4 * sg / (1.0 + 0.4 * sg * rate / math.pi)
             log_factor[run], total[run], err[run] = self._run_sums(
-                cg, log_t[run], real, h, tol, log_floor)
+                cg, log_t[run], real, h, tol, log_floor, m)
         return real, log_factor, total, err
 
-    def _run_sums(self, c, log_t, real, h, tol, log_floor):
-        """The saddle-line sums of one run of nodes on Re z = c."""
+    def _run_sums(self, c, log_t, real, h, tol, log_floor, m):
+        """The saddle-line sums of one run of nodes on Re z = c.
+
+        With m > 0 the sample matrix has one row per (node, j), j = 0..m,
+        and every row keeps the window, step and underflow tests.  The j = 0
+        rows are tested alone first and their sums kept from the state where
+        they pass, so they equal the m = 0 sums bit for bit; the refinement
+        then goes on for the j > 0 rows.
+        """
         mw = self._mw
+        k = m + 1
+
+        def per_row(a):
+            # a node's value on each of its rows
+            return np.repeat(a, k) if m else a
 
         def pairs(y, lg=None):
             # F_j(y) + F_j(-y), F_j(y) = exp(phi_j(c + iy) - phi_j(c));
@@ -404,6 +421,12 @@ class KernelK:
             if lg is None:
                 lg = mw.log_gamma(c + iy)
             F = np.exp(lg - lg_c - log_t[:, None] * iy)
+            if m:
+                # rows (node, j): (-z)^j F_node
+                power = np.ones((k, len(iy)), dtype=complex)
+                for j in range(1, k):
+                    power[j] = power[j - 1] * -(c + iy)
+                F = (F[:, None, :] * power).reshape(-1, len(iy))
             return 2.0 * F.real if real else F[:, :len(y)] + F[:, len(y):]
 
         n = 40
@@ -413,30 +436,41 @@ class KernelK:
         lg = mw.log_gamma(c + 1j * np.concatenate(ys))
         lg_c = lg[0].real if real else lg[0]
         phi0 = lg_c - c * log_t
+        # each row's sample at y = 0: (-c)^j, exactly 1.0 for j = 0
+        zero = [(-c) ** j for j in range(k)] * len(log_t)
         with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-            # a node is done once its result lies below exp(log_floor)
-            small = np.exp(log_floor - phi0.real).tolist()
+            # a row is done once its result lies below exp(log_floor)
+            small = per_row(np.exp(log_floor - phi0.real)).tolist()
             vals = pairs(y, lg[1:])
+            kept = None
             while True:
-                # per node: the sums over even and odd samples (the odd
+                # per row: the sums over even and odd samples (the odd
                 # ones, y = 2h, 4h, ..., make the coarse sum) and of |.|
                 # inside and over the outer quarter, tested in floats
                 size = np.abs(vals)
                 rows = zip(vals.reshape(len(vals), -1, 2).sum(axis=1).tolist(),
                            np.add.reduceat(size, [0, 3 * n // 4], axis=1).tolist(),
-                           small)
+                           small, zero)
                 total, mass, err, wide, done = [], [], [], False, True
-                for j, ((s_even, s_odd), (s_in, s_out), lim) in enumerate(rows):
-                    tot = h * (1.0 + s_even + s_odd)
-                    mas = h * (1.0 + s_in + s_out)
+                # the rows under test: j = 0 first, then j > 0
+                first = kept is None
+                for j, ((s_even, s_odd), (s_in, s_out), lim, z0) in \
+                        enumerate(rows):
+                    tot = h * (z0 + s_even + s_odd)
+                    mas = h * (abs(z0) + s_in + s_out)
                     if not math.isfinite(mas):
                         raise DecayTooSlow("Mellin integrand not finite at "
-                                           f"t={np.exp(log_t[j]):.6g}")
-                    scale = max(abs(tot), 1e-3 * mas)
-                    wide = wide or h * s_out > 1e-3 * tol * scale
-                    e = abs(tot - 2 * h * (1.0 + s_odd))
-                    done = done and (e <= tol * scale or mas < lim)
+                                           f"t={np.exp(log_t[j // k]):.6g}")
+                    e = abs(tot - 2 * h * (z0 + s_odd))
+                    if (j % k == 0) == first:
+                        scale = max(abs(tot), 1e-3 * mas)
+                        wide = wide or h * s_out > 1e-3 * tol * scale
+                        done = done and (e <= tol * scale or mas < lim)
                     total.append(tot), mass.append(mas), err.append(e)
+                if first and k > 1 and done and not wide:
+                    # the j = 0 rows pass: keep their sums, test j > 0
+                    kept = total, mass, err
+                    continue
                 if wide:
                     if n >= _MELLIN_SAMPLES:
                         raise DecayTooSlow("Mellin integrand has not decayed "
@@ -450,15 +484,21 @@ class KernelK:
                 if n >= _MELLIN_SAMPLES:
                     raise QuadratureStall(f"Mellin sum at step {h:.3g} still "
                                           f"moves by {max(err):.2e}")
-                fine = np.empty((len(log_t), 2 * n), dtype=vals.dtype)
+                fine = np.empty((len(vals), 2 * n), dtype=vals.dtype)
                 fine[:, 0::2] = pairs(h * (np.arange(n) + 0.5))
                 fine[:, 1::2] = vals
                 vals, h, n = fine, h / 2, 2 * n
+        total, mass, err = np.array(total), np.array(mass), np.array(err)
+        if kept is not None:
+            for now, then in zip((total, mass, err), kept):
+                now[::k] = then[::k]
         # rounding: each sample carries the relative error of phi, whose
         # terms are as large as log gamma~(c) and c log t
-        err = np.array(err) + 8 * _EPS * (abs(lg_c) + np.abs(c * log_t) + 1.0) \
-            * np.array(mass)
-        return phi0 - math.log(2 * math.pi), np.array(total), err
+        err = err + 8 * _EPS * per_row(abs(lg_c) + np.abs(c * log_t) + 1.0) \
+            * mass
+        if m:
+            total, err = total.reshape(-1, k), err.reshape(-1, k)
+        return phi0 - math.log(2 * math.pi), total, err
 
     def mellin(self, t, tol: Optional[float] = None):
         """K(t) by inverting the Mellin transform on a line through the
@@ -471,6 +511,20 @@ class KernelK:
         if np.ndim(t) == 0:
             return (float(value[0]) if real else complex(value[0])), float(err[0])
         return value, err
+
+    def theta_derivatives(self, t, n_max: int):
+        """theta^j K(t) for j = 0..n_max, theta = t d/dt, for an array of t:
+        the Mellin sums of ``mellin`` with (-z)^j in the integrand, on the
+        same saddle lines.  With K_1(u) = K(e^u), row j is d^j/du^j K_1.
+        Returns (values, err), arrays of shape (n_max + 1, len(t)); row 0
+        is ``mellin(t)`` bit for bit."""
+        ta = np.atleast_1d(t)
+        _, log_factor, total, err = self._line_sums(ta, self.mellin_tol,
+                                                    m=n_max)
+        total, err = total.reshape(len(ta), -1).T, err.reshape(len(ta), -1).T
+        with np.errstate(under="ignore"):
+            factor = np.exp(log_factor)
+            return factor * total, np.abs(factor) * err
 
     # -- saddle asymptotics --------------------------------------------------
 
@@ -502,13 +556,17 @@ class KernelK:
             return self._closed(t)
         return self.mellin(t)[0]
 
-    def log_abs(self, t) -> float:
-        """log |K(t)|; without a closed form it is taken from the Mellin
-        sum in log scale, so it stays finite where K underflows."""
+    def log_abs(self, t):
+        """log |K(t)| for a number or a numpy array of t; without a closed
+        form it is taken from the Mellin sums in log scale, so it stays
+        finite where K underflows."""
         if self._log_abs_closed is not None:
             return self._log_abs_closed(t)
         _, log_factor, total, _ = self._line_sums(t, self.mellin_tol,
                                                   log_floor=-math.inf)
+        if np.ndim(t):
+            with np.errstate(divide="ignore"):
+                return log_factor.real + np.log(np.abs(total))
         a = abs(total[0])
         return float(log_factor[0].real + math.log(a)) if a > 0 else -math.inf
 
@@ -544,18 +602,20 @@ class OmegaDomain:
         self._E = EntireE(self.weight)
         self._K = KernelK(self.weight)
         self._ts = np.geomspace(self.t_range[0], self.t_range[1], self.n_probe)
+        # the E row of the probed product does not depend on z
+        self._log_E = np.array([self._E.log_eval_real(t * self.eta)
+                                for t in self._ts])
 
     def membership(self, z) -> OmegaMembership:
         z = complex(z)
         if z == 0:
             raise DomainError("Omega membership defined for z != 0")
-        vals = np.empty(self.n_probe)
-        for i, t in enumerate(self._ts):
-            try:
-                lk = self._K.log_abs(t / z)
-            except DomainError:
-                lk = math.inf  # kernel off its analyticity domain: unbounded
-            vals[i] = self._E.log_eval_real(t * self.eta) + lk
+        try:
+            vals = self._log_E + self._K.log_abs(self._ts / z)
+        except DomainError:
+            # kernel off its analyticity domain; every t/z has the argument
+            # of 1/z, so that holds for all points or none: unbounded
+            vals = np.array([math.inf])
         if np.any(np.isposinf(vals)):
             return OmegaMembership(False, math.inf, False, math.inf)
         q = self.n_probe // 4
@@ -626,51 +686,36 @@ def verify_K1_deriv(w: WeightSpec, n_max: int = 6, delta: Optional[float] = None
                     t_range=(0.5, 2.5), n_pts: int = 9) -> LemmaReport:
     """Measure |d^n/dt^n (e^t K_1)| against (1+delta)^n ghat_n K_1(t - delta).
 
-    Derivatives come from the Mellin representation with the z^n factor in
-    the integrand (the independent oracle), K_1(u) = K(e^u).  The statement
-    targets weights with eps -> 0; for eps-limit > 0 a bounded constant needs
-    delta with delta(1+delta) >= (pi/2) eps_lim, hence the default choice.
+    K_1(u) = K(e^u), so d^j/du^j K_1 = theta^j K with theta = t d/dt: one
+    call of the saddle-line sums gives every row j <= n_max at the nodes
+    e^t and e^(t - delta) (``KernelK.theta_derivatives``), here in log scale
+    and without the underflow stop, so the ratio is relative-accurate where
+    K_1 underflows.  The statement targets weights with eps -> 0; for
+    eps-limit > 0 a bounded constant needs delta with delta(1+delta) >=
+    (pi/2) eps_lim, hence the default choice.
     """
     mw = moment_weight(w)
     if delta is None:
         eps_lim = float(np.real(eval_eps(mw, 1e6)))
         delta = 0.25 if eps_lim < 0.05 else \
             0.1 + (math.sqrt(1.0 + 2.0 * math.pi * eps_lim) - 1.0) / 2.0
-    c = max(1.0, mw.min_real + 0.75)
-    lg0 = float(np.real(mw.log_gamma(c)))
-    H = 1.0
-    for _ in range(60):
-        if float(np.real(mw.log_gamma(complex(c, H)))) < lg0 + math.log(1e-14):
-            break
-        H *= 1.7
-    else:
-        raise DecayTooSlow(f"|gamma({c}+iy)| not below tol*peak by y={H:.3g}")
     ghat = [gamma_hat_numeric(mw, n).log_value for n in range(n_max + 1)]
     ts = np.linspace(*t_range, n_pts)
-
-    def K1_deriv(n, u):
-        # (-1)^n/(2 pi i) int z^n e^{-z u} gamma~(z) dz on Re z = c
-        def ig(y, part):
-            zz = complex(c, y)
-            v = (zz ** n) * np.exp(mw.log_gamma(zz) - zz * u)
-            return v.real if part == 0 else v.imag
-        re, _ = quad(ig, -H, H, args=(0,), epsabs=1e-13, limit=400)
-        return ((-1) ** n) * re / (2 * math.pi)
-
-    binom = [[math.comb(n, kk) for kk in range(n + 1)] for n in range(n_max + 1)]
-    consts = []
-    per_n = {}
-    for n in range(n_max + 1):
-        worst = -math.inf
-        for t in ts:
-            k2n = math.exp(t) * sum(binom[n][j] * K1_deriv(j, t)
-                                    for j in range(n + 1))
-            envelope = (n * math.log1p(delta) + ghat[n]
-                        + math.log(max(K1_deriv(0, t - delta), 1e-300)))
-            worst = max(worst, math.log(abs(k2n) + 1e-300) - envelope)
-        per_n[n] = worst
-        consts.append(worst)
-    stable = _stability(consts)
+    K = KernelK(w)
+    _, log_factor, rows, _ = K._line_sums(
+        np.exp(np.concatenate((ts, ts - delta))), K.mellin_tol,
+        log_floor=-math.inf, m=n_max)
+    rows = rows.reshape(2 * n_pts, -1)
+    with np.errstate(divide="ignore"):
+        # log K_1(t - delta), and the log of e^t theta^j K(e^t) / rows[j]
+        log_env = log_factor[n_pts:] + np.log(np.abs(rows[n_pts:, 0]))
+        log_scale = ts + log_factor[:n_pts]
+        per_n = {}
+        for n in range(n_max + 1):
+            k2n = rows[:n_pts, :n + 1] @ [math.comb(n, j) for j in range(n + 1)]
+            per_n[n] = float(np.max(log_scale + np.log(np.abs(k2n)) - log_env
+                                    - n * math.log1p(delta) - ghat[n]))
+    stable = _stability(list(per_n.values()))
     return LemmaReport("K1_deriv", w.describe(),
                        {"delta": delta, "log_C_per_n": per_n},
                        stable, "measured ratio bounded by (1+delta)^n ghat_n envelope"

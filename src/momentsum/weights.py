@@ -133,6 +133,9 @@ def _gp_log_abs_kernel(p):
     a = p["alpha"]
 
     def log_abs_K(t):
+        if isinstance(t, np.ndarray):    # no zeros in an array of t
+            return (math.log(a) + (a - 1.0) * np.log(np.abs(t))
+                    - np.real(t.astype(complex) ** a))
         tc = complex(t)
         if tc == 0:
             return 0.0 if a == 1.0 else (-math.inf if a > 1 else math.inf)

@@ -222,6 +222,20 @@ def test_console_script_subprocess():
     assert abs(float(proc.stdout.split()[0]) - EULER_SUM_X1) < 1e-6
 
 
+def test_verify_kernel_suite_alpha3_passes_quietly():
+    # the K1_deriv constants stay relative-accurate where K_1 is tiny or
+    # underflows, and no integration warning reaches stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "momentsum.cli", "verify", "--suite", "kernel",
+         "--weight", "gamma_power:alpha=3"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert len([ln for ln in lines if ln.startswith("[PASS]")]) == 4
+    assert not any(ln.startswith("[FAIL]") for ln in lines)
+    assert proc.stderr == ""
+
+
 def test_classes_b_checks_moments_before_the_fit(capsys):
     # log_power(2) has no moment mu_0: the command fails at once with the
     # named error instead of after the class fit

@@ -9,7 +9,8 @@ from scipy.integrate import quad
 from momentsum.errors import TruncationError, UnsupportedFamily
 from momentsum.kernels import (EntireE, KernelK, OmegaDomain, K_closed,
                                kernel_probe_csv, verify_kernel_lemma)
-from momentsum.weights import WeightSpec, eval_eps, moment_weight, solve_saddle
+from momentsum.weights import (WeightSpec, eval_eps, gamma_hat_numeric,
+                               moment_weight, solve_saddle)
 
 W1 = WeightSpec.gamma_power(1.0)
 W2 = WeightSpec.gamma_power(2.0)
@@ -168,8 +169,32 @@ class TestLemmas:
         assert r.measured["delta_found"] <= 0.1 + 1e-12
 
     def test_K1_deriv_envelope(self):
-        r = verify_kernel_lemma("K1_deriv", W1, n_max=6)
-        assert r.stable
+        # log_C_n = max_t log|d^n(e^t K_1)(t)| - n log(1+delta) - log ghat_n
+        # - log K_1(t - delta) on the lemma's 9 points, with the derivatives
+        # of K_1(u) = alpha e^((alpha-1)u) exp(-e^(alpha u)) taken by mpmath
+        # (at alpha = 3, t = 2.5, K_1(t) ~ 1e-783 and K_1(t - delta) ~ 1e-184)
+        mp = pytest.importorskip("mpmath")
+        for alpha in (0.5, 1.0, 2.0, 3.0):
+            w = WeightSpec.gamma_power(alpha)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r = verify_kernel_lemma("K1_deriv", w, n_max=6)
+            assert r.stable, alpha
+            delta = r.measured["delta"]
+
+            def log_K1(u):
+                return mp.log(alpha) + (alpha - 1) * u - mp.exp(alpha * u)
+
+            for n, got in r.measured["log_C_per_n"].items():
+                ghat = gamma_hat_numeric(moment_weight(w), n).log_value
+                with mp.workdps(30):
+                    want = max(
+                        mp.log(abs(mp.diff(lambda u: mp.exp(u + log_K1(u)),
+                                           mp.mpf(t), n)))
+                        - log_K1(mp.mpf(t) - delta)
+                        for t in np.linspace(0.5, 2.5, 9))
+                want = float(want) - n * math.log1p(delta) - ghat
+                assert got == pytest.approx(want, abs=1e-8), (alpha, n)
 
     def test_E_curve(self):
         assert verify_kernel_lemma("E_curve", W1).stable
@@ -365,3 +390,53 @@ def test_log_abs_stays_finite_where_kernel_underflows():
         warnings.simplefilter("error")
         m = OmegaDomain(prod, 1.0).membership(0.4)
     assert m.member and math.isfinite(m.tail_slope)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+def test_theta_derivatives_match_closed_derivatives(alpha):
+    # theta^j K(e^u) = d^j/du^j K_1(u), K_1(u) = alpha e^((alpha-1)u)
+    # exp(-e^(alpha u)): relative 1e-10 against mpmath, covered by the
+    # estimates, wherever the value is a normal float
+    mp = pytest.importorskip("mpmath")
+    us = np.linspace(-0.5, 2.5, 13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, err = KernelK(WeightSpec.gamma_power(alpha)).theta_derivatives(
+            np.exp(us), 6)
+    assert v.shape == err.shape == (7, len(us))
+
+    def K1(u):
+        return alpha * mp.exp((alpha - 1) * u - mp.exp(alpha * u))
+
+    checked = 0
+    for i, u in enumerate(us):
+        for j in range(7):
+            with mp.workdps(30):
+                want = float(mp.diff(K1, mp.mpf(u), j))
+            if abs(want) < 1e-300:
+                continue
+            assert abs(v[j, i] - want) <= 1e-10 * abs(want), (u, j)
+            assert abs(v[j, i] - want) <= err[j, i], (u, j)
+            checked += 1
+    assert checked >= 7 * 10
+
+
+def test_theta_row_zero_is_mellin_bit_for_bit():
+    for w in (W2, WeightSpec.iterated_log(1), _product_weight(W2, W2)):
+        k = KernelK(w)
+        ts = np.geomspace(0.05, 40.0, 11)
+        v, err = k.theta_derivatives(ts, 4)
+        m, merr = k.mellin(ts)
+        assert np.array_equal(v[0], m) and np.array_equal(err[0], merr)
+
+
+def test_K1_deriv_without_a_saddle_is_named():
+    # the loglog_power saddle lies past the ray search's reach, so the
+    # lines miss it and the log-scale sums cancel: the lemma must stop at
+    # the 2^16-sample cap with a named error, not widen the window forever
+    import time
+    from momentsum.errors import MomentSumError
+    t0 = time.perf_counter()
+    with pytest.raises(MomentSumError):
+        verify_kernel_lemma("K1_deriv", WeightSpec.loglog_power(1.0))
+    assert time.perf_counter() - t0 < 20.0
