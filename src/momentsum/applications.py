@@ -18,7 +18,7 @@ from .errors import (DomainError, MomentSumError, NonQuasianalytic,
                      OrderingError, PZeroOnRay)
 from .kernels import KernelK
 from .transforms import (FormalSeries, FunctionHandle, SummationResult,
-                         borel_coeffs, laplace_quadrature, moment_sum)
+                         _horner, borel_coeffs, laplace_quadrature, moment_sum)
 from .weights import WeightSpec
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def multisum(a: FormalSeries, plan: MultiSumPlan, x: float) -> SummationResult:
         raise type(exc)(f"plan {name}: {exc}") from exc
     res.method = "multisum"
     # the continuation handle's own error is not measured yet (a stage
-    # handle such as E carries its rel_tol); tol per collapsed stage
+    # handle such as E carries its own rounding); tol per collapsed stage
     # stands for it until the error budget measures it
     res.abs_error_estimate += plan.tol * (len(plan.weights) - 1)
     res.diagnostics["plan"] = plan.label or [w.describe() for w in plan.weights]
@@ -187,8 +187,6 @@ def shift_laplace_check(F: FunctionHandle, a: float, w: WeightSpec,
     if a == 0:
         lhs = laplace_quadrature(F, K, x, tol=tol).value
     else:
-        T = a / x + 60.0 / min(x, 1.0)
-
         def g(t):
             return float(np.real(F(x * t - a))) * math.exp(-t)
 
@@ -390,11 +388,7 @@ def euler_solve(P, g: FormalSeries, w: WeightSpec, x: float,
     pc = [float(v) for v in P]
 
     def ev(t):
-        num = bg_eval(t)
-        den = 0.0
-        for c in reversed(pc):
-            den = den * t + c
-        return num / den
+        return bg_eval(t) / _horner(pc, t)
 
     handle = FunctionHandle(ev, None, growth_eta=bg_eval.growth_eta,
                             complex_capable=False, label="B[g]/P")

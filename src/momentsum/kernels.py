@@ -18,6 +18,7 @@ up once, at construction.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -35,6 +36,8 @@ from .weights import (LOG_FLOAT_MAX, L_inverse, WeightSpec,
 _EPS = np.finfo(float).eps
 _LOG_TINY = -750.0           # exp() of anything below is 0 in floats
 _MELLIN_SAMPLES = 1 << 16    # samples per half line before Mellin gives up
+_LOG_TERM_MAX = math.log(1e306)  # largest E series term summed in floats
+_HEAD_TERMS = 256            # log moments each EntireE computes once
 
 
 # ---------------------------------------------------------------------------
@@ -53,83 +56,55 @@ class EAsymptotic:
 class EntireE:
     """E(z) = sum_{n>=0} z^n / mu_n with certified truncation.
 
-    The series cache grows on demand; closed forms are used when the weight
-    declares one (exp for the classical weight, the Mittag-Leffler/erfcx
-    form at alpha = 2, a custom ``entire`` hook).  Very large positive-real
-    arguments are handled in log scale.
+    The series is summed over one window of terms around the largest
+    (``_window``), shared by ``series`` and ``log_series_real``; closed forms
+    are used when the weight declares one (exp for the classical weight,
+    the Mittag-Leffler/erfcx form at alpha = 2, a custom ``entire`` hook).
+    Very large positive-real arguments are handled in log scale.
     """
 
-    def __init__(self, weight: WeightSpec, rel_tol: float = 1e-12,
-                 n_cap: int = 100_000, auto_asymptotic: bool = True):
+    def __init__(self, weight: WeightSpec, n_cap: int = 100_000,
+                 auto_asymptotic: bool = True):
         self.weight = weight
-        self.rel_tol = rel_tol
         self.n_cap = n_cap
         self.auto_asymptotic = auto_asymptotic
-        self._log_mu = []
         self._closed = weight.closed("entire")
         self._log_closed = weight.closed("log_entire_real")
-
-    def _log_mu_upto(self, n):
-        while len(self._log_mu) <= n:
-            self._log_mu.append(self.weight.moment_log(len(self._log_mu)))
-        return self._log_mu
-
-    def series(self, z, rel_tol: Optional[float] = None) -> complex:
-        """Direct partial summation with a geometric tail certificate."""
-        rel_tol = rel_tol or self.rel_tol
-        z = complex(z)
-        az = abs(z)
-        lm = self._log_mu_upto(0)[0]
-        term = complex(math.exp(-lm))
-        total = term
-        n = 1
-        while n <= self.n_cap:
-            lms = self._log_mu_upto(n)
-            term = term * z * math.exp(lms[n - 1] - lms[n])
-            at = abs(term)
-            if at > 1e306:
-                raise TruncationError("series terms overflow; use log_eval_real")
-            total += term
-            ratio = az * math.exp(self._log_mu_upto(n + 1)[n] -
-                                  self._log_mu_upto(n + 1)[n + 1])
-            if ratio < 0.5:
-                tail = at * ratio / (1.0 - ratio)
-                if tail <= rel_tol * max(abs(total), 1e-300):
-                    return total
-            n += 1
-        raise TruncationError(
-            f"no tail domination after {self.n_cap} terms at |z|={az:.3g}")
+        self._head = None
 
     def _log_moments(self, ns):
-        """log mu_n for an integer array ns >= 0 in one weight call."""
+        """log mu_n for an ascending integer array ns >= 0 in one weight
+        call.  log mu_n for n < _HEAD_TERMS is computed once per instance:
+        the windows of small and moderate x lie there, and a weight call
+        costs more than its points."""
+        if ns[-1] < _HEAD_TERMS:
+            if self._head is None:
+                self._head = np.real(self.weight.log_gamma(
+                    np.arange(_HEAD_TERMS, dtype=float)))
+            return self._head[ns]
         return np.real(self.weight.log_gamma(ns.astype(float)))
 
-    def log_series_real(self, x: float, rel_tol: Optional[float] = None) -> float:
-        """log E(x) for real x >= 0: a log-sum-exp over the terms within 60
-        nats of the largest.
+    def _window(self, x: float):
+        """(ns, log terms n log x - log mu_n) over the terms within 60 nats
+        of the largest, for real x > 0.
 
-        The log terms n log x - log mu_n are concave in n, so the peak is
-        where their increment changes sign (doubling, then bisection).  The
-        window grows from the peak in chunks of 12 widths of the Gaussian
-        the terms follow there, until both ends are 60 nats down.  A window
-        of more than ``n_cap`` terms raises TruncationError.
+        The log terms are concave in n, so the peak is where their
+        increment changes sign (doubling, then bisection).  The window grows
+        from the peak in chunks of 12 widths of the Gaussian the terms
+        follow there, until both ends are 60 nats down.  A window of more
+        than ``n_cap`` terms raises TruncationError.
         """
-        if x < 0:
-            raise DomainError("log_series_real needs x >= 0")
-        lm0 = self.weight.moment_log(0)
-        if x == 0.0:
-            return -lm0
         lx = math.log(x)
 
         def probe(n):
             # (increment of the log term past n >= 1, chunk width at n)
-            lm = self._log_moments(np.arange(n - 1, n + 2))
-            curv = lm[0] - 2 * lm[1] + lm[2]
+            lm0, lm1, lm2 = self._log_moments(np.arange(n - 1, n + 2)).tolist()
+            curv = lm0 - 2 * lm1 + lm2
             width = int(12.0 / math.sqrt(curv)) + 16 if curv > 0 else math.inf
-            return lx - (lm[2] - lm[1]), width
+            return lx - (lm2 - lm1), width
 
         peak = 0
-        if lx > self.weight.moment_log(1) - lm0:
+        if lx > self.weight.moment_log(1) - self.weight.moment_log(0):
             lo, hi = 0, 1
             while True:
                 inc, width = probe(hi)
@@ -150,47 +125,74 @@ class EntireE:
         logs = ns * lx - self._log_moments(ns)
         while len(logs) <= self.n_cap:
             top = logs.max()
-            grow_left = first > 0 and logs[0] > top - 60.0
-            grow_right = logs[-1] > top - 60.0
-            if not (grow_left or grow_right):
-                return float(top + math.log(np.exp(logs - top).sum()))
-            if grow_left:
-                ns = np.arange(max(first - chunk, 0), first)
-                logs = np.concatenate((ns * lx - self._log_moments(ns), logs))
-                first = int(ns[0])
-            if grow_right:
-                ns = np.arange(last + 1, last + chunk + 1)
-                logs = np.concatenate((logs, ns * lx - self._log_moments(ns)))
-                last = int(ns[-1])
+            lo = max(first - chunk, 0) if logs[0] > top - 60.0 else first
+            hi = last + chunk if logs[-1] > top - 60.0 else last
+            if (lo, hi) == (first, last):
+                return np.arange(first, last + 1), logs
+            ns = np.concatenate((np.arange(lo, first), np.arange(last + 1, hi + 1)))
+            new = ns * lx - self._log_moments(ns)
+            logs = np.concatenate((new[:first - lo], logs, new[first - lo:]))
+            first, last = lo, hi
         raise TruncationError(f"more than {self.n_cap} series terms within "
                               f"60 nats of the peak at x={x:.3g}")
 
-    def eval(self, z) -> complex:
-        cf = self._closed
-        if cf is not None:
-            return complex(cf(complex(z)))
+    def series(self, z) -> complex:
+        """E(z) summed over the window of ``log_series_real`` at |z|: the
+        terms z^n / mu_n have the moduli of the real terms at |z|, so the
+        same 60-nat ends certify the tail.  Real z sums real terms.
+        TruncationError where the largest term exceeds 1e306 (use
+        ``log_eval_real``) or the window exceeds ``n_cap`` terms."""
+        z = complex(z)
+        r = abs(z)
+        if r == 0.0:
+            return complex(math.exp(-self.weight.moment_log(0)))
+        ns, logs = self._window(r)
+        top = logs.max()
+        if z.imag == 0.0:
+            terms = np.exp(logs - top)
+            if z.real < 0:
+                terms[ns % 2 == 1] *= -1.0
+        else:
+            terms = np.exp(logs - top + 1j * math.atan2(z.imag, z.real) * ns)
+        if top <= _LOG_TERM_MAX:
+            value = math.exp(top) * complex(terms.sum())
+            if cmath.isfinite(value):
+                return value
+        raise TruncationError("series terms overflow; use log_eval_real")
+
+    def log_series_real(self, x: float) -> float:
+        """log E(x) for real x >= 0: a log-sum-exp over the window of terms
+        within 60 nats of the largest (``_window``)."""
+        if x < 0:
+            raise DomainError("log_series_real needs x >= 0")
+        if x == 0.0:
+            return -self.weight.moment_log(0)
+        logs = self._window(x)[1]
+        top = logs.max()
+        return float(top + math.log(np.exp(logs - top).sum()))
+
+    def _fallback(self, z, summed, attr):
+        """``summed(z)``, or past a TruncationError the saddle branch's
+        ``attr`` when ``auto_asymptotic`` is set and z lies on it."""
         try:
-            return self.series(z)
+            return summed(z)
         except TruncationError:
             if not self.auto_asymptotic:
                 raise
             a = self.asymptotic(z)
             if a.branch != "main":
                 raise
-            return a.value
+            return getattr(a, attr)
+
+    def eval(self, z) -> complex:
+        if self._closed is not None:
+            return complex(self._closed(complex(z)))
+        return self._fallback(z, self.series, "value")
 
     def log_eval_real(self, x: float) -> float:
         if self._log_closed is not None:
             return self._log_closed(x)
-        try:
-            return self.log_series_real(x)
-        except TruncationError:
-            if not self.auto_asymptotic:
-                raise
-            a = self.asymptotic(x)
-            if a.branch != "main":
-                raise
-            return a.log_abs
+        return self._fallback(x, self.log_series_real, "log_abs")
 
     def asymptotic(self, z, delta: float = 0.08) -> EAsymptotic:
         """Saddle-point value sqrt(2 pi s/eps) exp(s eps)/z for the entire function
@@ -664,13 +666,17 @@ def verify_three_E(w: WeightSpec, eta: float, delta: Optional[float] = None,
     ts = np.geomspace(*t_range, n_pts)
     deltas = [delta] if delta is not None else \
         [0.9 * (1 - eta), 0.5 * (1 - eta), 0.25 * (1 - eta)]
+
+    def log_E(scale):
+        return np.array([E.log_eval_real(t * scale) for t in ts])
+
+    log_E_1, log_E_eta, log_K = log_E(1.0), log_E(eta), K.log_abs(ts)
     found = None
     per_delta = {}
     for d in deltas:
-        g = np.array([E.log_eval_real(t * d) + E.log_eval_real(t * eta)
-                      - E.log_eval_real(t) for t in ts])
-        gk = np.array([E.log_eval_real(t * d) + E.log_eval_real(t * eta)
-                       + K.log_abs(t) for t in ts])
+        log_E_d = log_E(d)
+        g = log_E_d + log_E_eta - log_E_1
+        gk = log_E_d + log_E_eta + log_K
         per_delta[d] = {"log_C": float(np.max(g)), "log_C_kernel": float(np.max(gk)),
                         "stable": _stability(g)}
         if found is None and _stability(g) and _stability(gk):

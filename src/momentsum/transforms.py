@@ -34,6 +34,15 @@ _EPS = np.finfo(float).eps
 # formal power series
 # ---------------------------------------------------------------------------
 
+def _horner(coeffs, x):
+    """sum_k coeffs[k] x^k by Horner's rule, for float coefficients and a
+    float, complex or numpy array x."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _is_exact(values) -> bool:
     return all(isinstance(v, (Fraction, int)) for v in values)
 
@@ -100,10 +109,7 @@ class FormalSeries:
         return FormalSeries(tuple(out))
 
     def eval(self, x):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
+        return _horner([float(c) for c in self.coeffs], x)
 
     def to_json(self) -> str:
         if self.exact:
@@ -180,18 +186,11 @@ class FunctionHandle:
         coeffs = [float(c) for c in series.coeffs]
 
         def ev(x):
-            acc = 0.0 if not isinstance(x, complex) else 0j
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            return acc
+            return _horner(coeffs, x)
 
         def dv(x, n):
-            if n >= len(coeffs):
-                return 0.0
-            acc = 0.0 if not isinstance(x, complex) else 0j
-            for k in range(len(coeffs) - 1, n - 1, -1):
-                acc = acc * x + coeffs[k] * math.perm(k, n)
-            return acc
+            return _horner([coeffs[k] * math.perm(k, n)
+                            for k in range(n, len(coeffs))], x)
 
         return FunctionHandle(ev, dv, growth_eta=0.0,
                               complex_capable=True, label=label)
@@ -219,11 +218,8 @@ def borel_coeffs(s: FormalSeries, w: WeightSpec) -> FormalSeries:
 
 def remainder_Rn(f: FunctionHandle, z, n: int):
     """f(z) minus its Taylor polynomial of order < n at the origin."""
-    val = f(z)
-    acc = 0.0 if not isinstance(z, complex) else 0j
-    for k in range(n - 1, -1, -1):
-        acc = acc * z + f.derivative(0.0, k) / math.factorial(k)
-    return val - acc
+    return f(z) - _horner([f.derivative(0.0, k) / math.factorial(k)
+                           for k in range(n)], z)
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +234,14 @@ class PadeApproximant:
     poles: tuple = ()
     pole_on_ray: bool = False
 
-    def __call__(self, x):
-        p = self._horner(self.num, x)
-        q = self._horner(self.den, x)
-        return p / q
+    def __post_init__(self):
+        # the float coefficients that __call__ evaluates
+        self._float_num, self._float_den = (
+            tuple(float(c) if isinstance(c, Fraction) else c for c in cs)
+            for cs in (self.num, self.den))
 
-    @staticmethod
-    def _horner(cs, x):
-        acc = 0.0 if not isinstance(x, complex) else 0j
-        for c in reversed(cs):
-            acc = acc * x + (float(c) if isinstance(c, Fraction) else c)
-        return acc
+    def __call__(self, x):
+        return _horner(self._float_num, x) / _horner(self._float_den, x)
 
     def handle(self) -> FunctionHandle:
         return FunctionHandle(self.__call__, None, growth_eta=0.0,

@@ -333,6 +333,41 @@ def test_windowed_log_series_caps():
         EntireE(WeightSpec.log_power(1.0)).log_series_real(2.0)
 
 
+def _mp_entire(alpha, z):
+    # sum z^n / Gamma(1 + n/alpha) at 60 digits, to well past the peak term
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        z = mp.mpmathify(z)
+        total, n = mp.mpf(0), 0
+        while True:
+            term = z ** n / mp.gamma(1 + mp.mpf(n) / alpha)
+            total += term
+            if n > alpha * abs(z) ** alpha + 40 and \
+                    abs(term) < abs(total) * mp.mpf(10) ** -60:
+                return complex(total)
+            n += 1
+
+
+@pytest.mark.parametrize("alpha,z,rel", [
+    (3.0, 0.5, 1e-14), (3.0, 1.3, 1e-14), (3.0, 2.0, 1e-14),
+    (3.0, 5.0, 1e-12), (3.0, 8.0, 1e-12),
+    (1.5, 4.0 + 1.0j, 1e-12), (3.0, 3.0 + 0.5j, 1e-12)])
+def test_series_window_against_mpmath(alpha, z, rel):
+    # the window of log_series_real at |z| certifies the tail; the error
+    # grows like n_peak eps at large |z| (the rounding of n log |z|)
+    got = EntireE(WeightSpec.gamma_power(alpha)).series(z)
+    want = _mp_entire(alpha, z)
+    assert abs(got - want) <= rel * abs(want)
+
+
+def test_series_on_the_negative_axis_is_real():
+    E = EntireE(WeightSpec.gamma_power(3.0))
+    assert E.series(-0.8).imag == 0.0
+    assert E.series(-6.0).imag == 0.0
+    want = _mp_entire(3.0, -0.8)
+    assert abs(E.series(-0.8) - want) <= 1e-14 * abs(want)
+
+
 def test_three_E_kernel_variant_over_full_range():
     # the product kernel 4 t K_0(2 t) is ~1e-172 at t = 200: Mellin now
     # resolves it, so the kernel variant probes the whole t range
