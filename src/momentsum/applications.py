@@ -312,33 +312,17 @@ def _mu_ratio(w: WeightSpec, m: int, j: int):
 
 def euler_apply_V(a: FormalSeries, w: WeightSpec, power: int = 1) -> FormalSeries:
     """Apply V (or V^power): coefficient shift with the moment-ratio factor."""
-    out = a
-    for _ in range(power):
-        coeffs = [Fraction(0) if out.exact else 0.0]
-        for m, c in enumerate(out.coeffs):
-            r = _mu_ratio(w, m + 1, 1)
-            coeffs.append(c * r if out.exact and isinstance(r, Fraction)
-                          else float(c) * float(r))
-        out = FormalSeries(tuple(coeffs))
-    return out
+    return euler_apply_P((0,) * power + (1,), a, w)
 
 
 def euler_apply_P(P, a: FormalSeries, w: WeightSpec) -> FormalSeries:
     """P(V) a, truncated to len(a) + deg P coefficients."""
-    deg = len(P) - 1
-    n_out = len(a) + deg
-    exact = a.exact and all(isinstance(p, (int, Fraction)) for p in P)
-    acc = [Fraction(0) if exact else 0.0] * n_out
+    acc = [0] * (len(a) + len(P) - 1)
     for j, pj in enumerate(P):
         if pj == 0:
             continue
         for m, c in enumerate(a.coeffs):
-            if m + j >= n_out:
-                continue
-            r = _mu_ratio(w, m + j, j)
-            term = (Fraction(pj) * Fraction(c) * r if exact and
-                    isinstance(r, Fraction) else float(pj) * float(c) * float(r))
-            acc[m + j] = acc[m + j] + term
+            acc[m + j] += pj * c * _mu_ratio(w, m + j, j)
     return FormalSeries(tuple(acc))
 
 
@@ -360,22 +344,15 @@ def euler_solve(P, g: FormalSeries, w: WeightSpec, x: float,
     f_m = (g_m - sum_{j>=1} p_j (mu_m/mu_{m-j}) f_{m-j}) / p_0.
     """
     _screen_positive_ray(P)
+    P = FormalSeries(tuple(P)).coeffs    # int / int would be a float
     degree = degree or len(g) - 1
-    exact = g.exact and all(isinstance(p, (int, Fraction)) for p in P)
-    p0 = Fraction(P[0]) if exact else float(P[0])
     f = []
     for m in range(degree + 1):
-        gm = Fraction(g[m]) if exact and m < len(g) else \
-            (g[m] if m < len(g) else (Fraction(0) if exact else 0.0))
-        acc = gm
+        acc = g[m] if m < len(g) else 0
         for j in range(1, min(len(P), m + 1)):
-            if P[j] == 0:
-                continue
-            r = _mu_ratio(w, m, j)
-            term = (Fraction(P[j]) * f[m - j] * r if exact and
-                    isinstance(r, Fraction) else float(P[j]) * float(f[m - j]) * float(r))
-            acc = acc - term
-        f.append(acc / p0)
+            if P[j] != 0:
+                acc -= P[j] * f[m - j] * _mu_ratio(w, m, j)
+        f.append(acc / P[0])
     f_series = FormalSeries(tuple(f))
 
     # Borel-side handle: (B g)(t) / P(t)

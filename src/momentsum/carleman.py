@@ -87,14 +87,11 @@ def exp_change_of_variables(direction: str, derivs, point):
     where g(x) = f(e^x); from_log inverts it.  Exact over rationals when the
     inputs and the point are rational.
     """
-    if isinstance(point, (int, Fraction)):
-        point = Fraction(point)
-        exact = all(isinstance(v, (int, Fraction)) for v in derivs)
-    else:
-        exact = False
+    if isinstance(point, int):
+        point = Fraction(point)          # int / int would be a float
     if point <= 0:
         raise NonPositivePoint("the change of variables needs point > 0")
-    v = [Fraction(x) if exact else float(x) for x in derivs]
+    v = list(derivs)
     nmax = len(v) - 1
     out = []
     if direction == "to_log":
@@ -102,7 +99,7 @@ def exp_change_of_variables(direction: str, derivs, point):
             if n == 0:
                 out.append(v[0])
                 continue
-            acc = 0 if exact else 0.0
+            acc = 0
             tp = point
             for j in range(1, n + 1):
                 acc += stirling_numbers("second", n, j) * v[j] * tp
@@ -113,7 +110,7 @@ def exp_change_of_variables(direction: str, derivs, point):
             if n == 0:
                 out.append(v[0])
                 continue
-            acc = 0 if exact else 0.0
+            acc = 0
             for j in range(1, n + 1):
                 sgn = -1 if (n + j) % 2 else 1
                 acc += sgn * stirling_numbers("first_unsigned", n, j) * v[j]
@@ -347,8 +344,7 @@ class ClassFit:
                           default=float)
 
 
-def _deriv_logabs(f, x: float, n: int) -> float:
-    v = f.derivative(x, n)
+def _log_abs(v) -> float:
     a = abs(v)
     return math.log(a) if a > 0 else -math.inf
 
@@ -376,7 +372,7 @@ def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
         for n in range(n_min, n_max + 1):
             best = -math.inf
             for x in xs:
-                lr = _deriv_logabs(f, x, n) - M.logM(n) \
+                lr = _log_abs(f.derivative(x, n)) - M.logM(n) \
                     - E.log_eval_real(eta * x / a)
                 best = max(best, lr / (n + 1))
             per_n[n] = math.exp(best)
@@ -389,7 +385,7 @@ def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
         logjets = {x: exp_change_of_variables("to_log", jets[x], x)
                    for x in xs_b}
         for n in range(n_min, n_max + 1):
-            b1 = max((_deriv_logabs(f, x, n) - M.logM(n)) / (n + 1)
+            b1 = max((_log_abs(jets[x][n]) - M.logM(n)) / (n + 1)
                      for x in xs_b)
             b2 = max(math.log(max(abs(logjets[x][n]), 1e-300))
                      - n * math.log(eta) - N.logM(n) for x in xs_b)
@@ -403,7 +399,7 @@ def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
         for n in range(n_min, n_max + 1):
             best = -math.inf
             for x in xs:
-                la = _deriv_logabs(f, x, n)
+                la = _log_abs(f.derivative(x, n))
                 # the envelope is a min, so C must satisfy both branches
                 r1 = (la - M.logM(n)) / (n + 1)
                 r2 = la - (n * math.log(mu) + N.logM(n)

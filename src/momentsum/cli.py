@@ -5,6 +5,7 @@ error (with a JSON error object), 2 on config error."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -102,11 +103,11 @@ def parse_weight(text: str) -> WeightSpec:
 def parse_series(text: str, length: int = 24) -> tuple:
     """Returns (FormalSeries, continuation) for the named or file input."""
     if text == "euler":
-        a = FormalSeries(tuple(Fraction((-1) ** n * math.factorial(n))
+        a = FormalSeries(tuple((-1) ** n * math.factorial(n)
                                for n in range(length)))
         return a, "pade"
     if text == "cauchy":
-        a = FormalSeries(tuple(Fraction(1) for _ in range(length)))
+        a = FormalSeries((1,) * length)
         return a, "cauchy"
     if text.startswith("file:"):
         path = text[5:]
@@ -292,7 +293,7 @@ def _cmd_euler(cfg: RunConfig) -> int:
     if cfg.series.startswith("file:"):
         g = FormalSeries.from_json(Path(cfg.series[5:]).read_text())
     else:
-        g = FormalSeries(tuple([Fraction(0), Fraction(1)] + [Fraction(0)] * 19))
+        g = FormalSeries((0, 1) + (0,) * 19)
     sol = euler_solve(P, g, w, cfg.x, tol=cfg.tol)
     print(f"{sol.quadrature.value:.12g} +- "
           f"{sol.quadrature.abs_error_estimate:.3g}")
@@ -351,7 +352,9 @@ def run(config: RunConfig) -> int:
     return _BODIES[config.command](config)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="momentsum",
         description="Moment (Borel-Laplace) summation toolkit")

@@ -43,10 +43,6 @@ def _horner(coeffs, x):
     return acc
 
 
-def _is_exact(values) -> bool:
-    return all(isinstance(v, (Fraction, int)) for v in values)
-
-
 @dataclass(frozen=True)
 class FormalSeries:
     """Finite coefficient vector a_0..a_n over exact rationals or floats.
@@ -61,13 +57,12 @@ class FormalSeries:
         object.__setattr__(self, "coeffs", tuple(
             Fraction(c) if isinstance(c, int) else c for c in self.coeffs))
 
-    @staticmethod
-    def zero(length: int) -> "FormalSeries":
-        return FormalSeries((Fraction(0),) * length)
-
     @property
     def exact(self) -> bool:
-        return _is_exact(self.coeffs)
+        """Every coefficient is a Fraction.  Arithmetic keeps that on its
+        own (Fraction with Fraction stays exact, anything with a float is a
+        float); only the Pade solve and ``to_json`` ask."""
+        return all(isinstance(c, Fraction) for c in self.coeffs)
 
     def __len__(self):
         return len(self.coeffs)
@@ -84,7 +79,6 @@ class FormalSeries:
         return FormalSeries(tuple(self[k] - other[k] for k in range(n)))
 
     def scale(self, c) -> "FormalSeries":
-        c = Fraction(c) if isinstance(c, int) else c
         return FormalSeries(tuple(c * v for v in self.coeffs))
 
     def cauchy_mul(self, other: "FormalSeries") -> "FormalSeries":
@@ -159,8 +153,7 @@ class FunctionHandle:
     """
 
     evaluator: Callable
-    derivative_fn: Optional[Callable] = None   # (x, n) -> value
-    max_order: Optional[int] = None            # None: unlimited oracle, FD cap otherwise
+    derivative_fn: Optional[Callable] = None   # (x, n) -> value; FD otherwise
     growth_eta: float = 0.0
     growth_weight: Optional[WeightSpec] = None
     complex_capable: bool = False
@@ -174,10 +167,6 @@ class FunctionHandle:
         if n == 0:
             return self.evaluator(x)
         if self.derivative_fn is not None:
-            if self.max_order is not None and n > self.max_order:
-                raise DerivativeUnavailable(
-                    f"oracle for {self.label or 'handle'} capped at order "
-                    f"{self.max_order}")
             return self.derivative_fn(x, n)
         return _fd_derivative(self.evaluator, x, n)
 
@@ -230,7 +219,6 @@ def remainder_Rn(f: FunctionHandle, z, n: int):
 class PadeApproximant:
     num: tuple
     den: tuple
-    exact: bool
     poles: tuple = ()
     pole_on_ray: bool = False
 
@@ -260,35 +248,23 @@ def pade_continue(s: FormalSeries, order) -> PadeApproximant:
     m, n = order
     if len(s) < m + n + 1:
         raise DomainError(f"need {m+n+1} coefficients for a ({m},{n}) Pade")
-    c = list(s.coeffs)
-    exact = s.exact
-    if not exact:
-        c = [float(v) for v in c]
+    c = s.coeffs
 
     # denominator: sum_{j=0..n} q_j c_{m+k-j} = 0, k=1..n, q_0 = 1
+    q = [1]
     if n > 0:
-        A = [[(c[m + k - j] if 0 <= m + k - j < len(c) else
-               (Fraction(0) if exact else 0.0)) for j in range(1, n + 1)]
+        A = [[c[m + k - j] if m + k - j >= 0 else 0 for j in range(1, n + 1)]
              for k in range(1, n + 1)]
-        b = [-(c[m + k] if m + k < len(c) else (Fraction(0) if exact else 0.0))
-             for k in range(1, n + 1)]
-        if exact:
-            q_tail = _solve_exact(A, b)
+        b = [-c[m + k] for k in range(1, n + 1)]
+        if s.exact:
+            q += _solve_exact(A, b)
         else:
             An, bn = np.array(A, dtype=float), np.array(b, dtype=float)
             if np.linalg.cond(An) > 1e13:
                 raise DegenerateDenominator("near-singular Pade system")
-            q_tail = list(np.linalg.solve(An, bn))
-        q = [Fraction(1) if exact else 1.0] + q_tail
-    else:
-        q = [Fraction(1) if exact else 1.0]
-
-    p = []
-    for k in range(m + 1):
-        acc = Fraction(0) if exact else 0.0
-        for j in range(min(k, n) + 1):
-            acc += q[j] * c[k - j]
-        p.append(acc)
+            q += list(np.linalg.solve(An, bn))
+    p = [sum(q[j] * c[k - j] for j in range(min(k, n) + 1))
+         for k in range(m + 1)]
 
     poles = ()
     pole_on_ray = False
@@ -302,7 +278,7 @@ def pade_continue(s: FormalSeries, order) -> PadeApproximant:
         if pole_on_ray:
             warnings.warn("Pade denominator has a pole on [0, inf)",
                           PoleOnRayWarning)
-    return PadeApproximant(tuple(p), tuple(q), exact, poles, pole_on_ray)
+    return PadeApproximant(tuple(p), tuple(q), poles, pole_on_ray)
 
 
 def _solve_exact(A, b):

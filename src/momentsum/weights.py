@@ -107,6 +107,17 @@ def _eps_exp_log_over_loglog(p, s):
     return (1.0 - p["alpha"] / ll) / ll ** p["alpha"]
 
 
+def _eps_iterated_log(p, s):
+    # log l_k(m) / s + (s - 1) / (m l_1(m) ... l_k(m)), m = s - 1 + exp_[k](1),
+    # with l_j the j-fold logarithm
+    m = s - 1.0 + _exp_iter(1.0, int(p["k"]))
+    lj = prod = m
+    for _ in range(int(p["k"])):
+        lj = np.log(lj)
+        prod = prod * lj
+    return np.log(lj) / s + (s - 1.0) / prod
+
+
 def _eps_gamma_power(p, s):
     a = p["alpha"]
     return digamma(1.0 + s / a) / a - loggamma(1.0 + s / a) / s
@@ -278,7 +289,8 @@ _FAMILIES = {
                 log_abs_gamma_imag=_gp_log_abs_gamma_imag,
                 ghat_factor=lambda p, ln: 2.0 / math.pi * p["alpha"],
                 ghat_ratio=lambda p: {"p": 1.0, "q": 0.0}),
-        _Family("iterated_log", _lg_iterated_log, None, _fixed(0.0), 8.0),
+        _Family("iterated_log", _lg_iterated_log, _eps_iterated_log,
+                _fixed(0.0), 8.0),
     ]
 }
 

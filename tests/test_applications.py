@@ -188,6 +188,14 @@ class TestEulerOperator:
         va = euler_apply_V(a, W1)
         assert va.coeffs == (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
 
+    @pytest.mark.parametrize("coeffs", [
+        tuple(Fraction(k, 3) for k in range(1, 9)),
+        tuple(0.25 * k for k in range(1, 9))], ids=["exact", "float"])
+    @pytest.mark.parametrize("w", [W1, W2], ids=["alpha1", "alpha2"])
+    def test_V_power_is_P_of_monomial(self, coeffs, w):
+        a = FormalSeries(coeffs)
+        assert euler_apply_V(a, w, 3) == euler_apply_P((0, 0, 0, 1), a, w)
+
     def test_V_of_zero(self):
         z = FormalSeries((Fraction(0),) * 4)
         assert all(c == 0 for c in euler_apply_V(z, W1).coeffs)
@@ -239,6 +247,16 @@ class TestEulerSolve:
                           tol=1e-11)
         formal = moment_sum(sol.series, W1, 0.3, tol=1e-11)
         assert abs(sol.quadrature.value - formal.value) < 1e-6
+
+    def test_recursion_past_g_stays_exact(self):
+        # degree past len(g): g_m = 0 there, and the recursion must still
+        # divide in Fractions
+        sol = euler_solve((1, 1), self.G, W1, 0.3, degree=30)
+        f = sol.series.coeffs
+        assert len(f) == 31
+        assert all(isinstance(c, Fraction) for c in f)
+        assert list(f) == [0] + [(-1) ** (n + 1) * math.factorial(n)
+                                 for n in range(1, 31)]
 
     def test_identity_operator(self):
         sol = euler_solve((Fraction(1),), self.G, W1, 0.3)

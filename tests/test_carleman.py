@@ -189,6 +189,22 @@ class TestClassFits:
         c1 = fit_class_constant("A", fl, **kw).C
         assert c1 <= lam * c0 + 1e-9
 
+    def test_class_B_takes_each_derivative_once(self):
+        # a derivative can be a whole Laplace integral (the CLI's
+        # euler_function), so the fit reuses the jets it has taken
+        calls = {}
+
+        def d(x, n):
+            calls[x, n] = calls.get((x, n), 0) + 1
+            return math.factorial(n) / (1.0 - x) ** (n + 1)
+
+        f = FunctionHandle(lambda x: 1.0 / (1.0 - x), d)
+        M = SequenceM.factorial_power(1.0)
+        fit_class_constant("B", f, M=M, N=M, eta=1.1, interval=(0.05, 0.5),
+                           grid_size=6, n_max=5, n_min=1)
+        assert len(calls) == 6 * 5
+        assert set(calls.values()) == {1}
+
     def test_subgrid_shrinks_constant(self):
         f = FunctionHandle(lambda x: 1.0 / (1.0 - x),
                            lambda x, n: math.factorial(n) / (1.0 - x) ** (n + 1))

@@ -58,11 +58,17 @@ class TestLEps:
         _, eps = eval_L_eps(w, s)
         assert float(np.real(eps)) > 0
 
-    def test_numeric_matches_analytic(self):
-        # consistency invariant: finite differences against the digamma form
+    @pytest.mark.parametrize("w", [
+        W2, WeightSpec.iterated_log(1), WeightSpec.iterated_log(2),
+        moment_weight(WeightSpec.iterated_log(1))],
+        ids=["gamma_power2", "iterated_log1", "iterated_log2",
+             "moment_iterated_log1"])
+    def test_numeric_matches_analytic(self, w):
+        # consistency invariant: finite differences against the family's
+        # analytic eps (the digamma form for gamma_power)
         for s in (3.7, 11.0, 145.0):
-            ea = eval_eps(W2, s)
-            en = eval_eps(W2, s, force_numeric=True)
+            ea = eval_eps(w, s)
+            en = eval_eps(w, s, force_numeric=True)
             assert abs(ea - en) / abs(ea) < 1e-6
 
     def test_shifted_weight_eps_consistent(self):
@@ -129,6 +135,26 @@ class TestSaddle:
         # doublings of the bracket: a named error, not scipy's ValueError
         with pytest.raises(MomentSumError):
             solve_saddle(WeightSpec.log_power(1.0), 1e3)
+
+    @pytest.mark.parametrize("z", [13.0, 37.0, 104.0])
+    def test_iterated_log_saddle_matches_mpmath(self, z):
+        # iterated_log(1): log L + eps = log log m + (s - 1)/(m log m) with
+        # m = s - 1 + e, solved at 30 digits in u = log s
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            def h(u):
+                s = mp.exp(u)
+                m = s - 1 + mp.e
+                return (mp.log(mp.log(m)) + (s - 1) / (m * mp.log(m))
+                        - mp.log(z))
+
+            lo, hi = mp.mpf(1), mp.mpf(2)
+            while h(hi) < 0:
+                lo, hi = hi, 2 * hi
+            want = float(mp.exp(mp.findroot(h, (lo, hi), solver="anderson")))
+        got = solve_saddle(WeightSpec.iterated_log(1), z).s_z
+        assert got.imag == 0.0
+        assert abs(got.real - want) / want < 1e-12
 
 
 class TestRhoOfR:
