@@ -5,8 +5,8 @@ admissibility is four conditions on eps, and the solution of
 log L(s) + eps(s) = log z drives all the large-z asymptotics.
 """
 
-from momentsum import (WeightSpec, admissibility_report, eval_L_eps,
-                       eval_gamma, rho_of_r, solve_saddle)
+from momentsum import (WeightSpec, admissibility_report, eval_eps,
+                       rho_of_r, solve_saddle)
 
 families = [
     WeightSpec.gamma_power(1.0),          # mu_n = n!, eps -> 1
@@ -18,13 +18,13 @@ families = [
 
 print("eps profiles (the limit < 2 is the admissibility ceiling):")
 for w in families:
-    eps = [float(eval_L_eps(w, s)[1].real) for s in (1e2, 1e4, 1e6)]
+    eps = [float(eval_eps(w, s).real) for s in (1e2, 1e4, 1e6)]
     print(f"  {w.describe():28s} eps(1e2,1e4,1e6) = "
           + ", ".join(f"{e:.4f}" for e in eps))
 
-print("\nsample values: gamma_power(1) at s=5 ->", eval_gamma(families[0], 5))
+print("\nsample values: gamma_power(1) at s=5 ->", families[0].gamma(5))
 print("               log_power(1)   at s=10 ->",
-      round(eval_gamma(families[2], 10), 2), "= (log 10)^10")
+      round(families[2].gamma(10), 2), "= (log 10)^10")
 
 print("\nadmissibility report for gamma_power(1):")
 rep = admissibility_report(families[0], rho_range=(None, 1e5), grid_size=120)

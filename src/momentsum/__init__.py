@@ -12,8 +12,8 @@ pipelines (applications).
 __version__ = "0.1.0"
 
 from .weights import (AdmissibilityReport, GammaHatEntry, SaddlePoint,
-                      WeightSpec, admissibility_report, eval_L_eps, eval_eps,
-                      eval_gamma, gamma_hat_closed,
+                      WeightSpec, admissibility_report, eval_eps,
+                      gamma_hat_closed,
                       gamma_hat_closed_log, gamma_hat_numeric, moment_weight,
                       rho_of_r, solve_saddle)
 from .kernels import (EntireE, KernelK, OmegaDomain, K_closed,

@@ -9,7 +9,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +36,7 @@ _ALLOWED_KEYS = {
     "euler": _BASE_KEYS | {"operator", "series", "x", "tol"},
     "classes": _BASE_KEYS | {"class_tag", "function", "n_max"},
 }
+_KINDS = {"str": str, "float": (int, float), "int": int}  # an int is a float too
 
 
 @dataclass
@@ -67,13 +68,17 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys for {cmd}: {sorted(unknown)}")
         cfg = RunConfig(command=cmd)
-        w = d.get("weights", d.get("weight"))
-        if w is not None:
-            cfg.weights = [w] if isinstance(w, str) else list(w)
-        for k in ("series", "x", "tol", "n", "t_min", "t_max", "n_points",
-                  "suite", "operator", "class_tag", "function", "n_max", "out"):
-            if k in d:
-                setattr(cfg, k, d[k])
+        w = d.get("weights", d.get("weight", []))
+        cfg.weights = [w] if isinstance(w, str) else w
+        if not isinstance(w, (str, list)) or \
+                not all(isinstance(v, str) for v in cfg.weights):
+            raise ValueError(f"config weights must be strings, got {w!r}")
+        for f in fields(RunConfig)[2:]:        # after command and weights
+            v = d.get(f.name, getattr(cfg, f.name))
+            if isinstance(v, bool) or not isinstance(v, _KINDS[f.type]):
+                raise ValueError(f"config key {f.name!r} must be of type "
+                                 f"{f.type}, got {v!r}")
+            setattr(cfg, f.name, v)
         return cfg
 
     def resolved(self) -> dict:
@@ -402,8 +407,7 @@ def main(argv=None) -> int:
             d = {k: v for k, v in vars(args).items()
                  if v is not None and k != "config"}
             d["weights"] = d.pop("weight", None) or []
-            cfg = RunConfig.from_dict({k: v for k, v in d.items()
-                                        if k != "weights"} | {"weights": d["weights"]})
+            cfg = RunConfig.from_dict(d)
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}),
               file=sys.stderr)

@@ -38,6 +38,7 @@ _LOG_TINY = -750.0           # exp() of anything below is 0 in floats
 _MELLIN_SAMPLES = 1 << 16    # samples per half line before Mellin gives up
 _LOG_TERM_MAX = math.log(1e306)  # largest E series term summed in floats
 _HEAD_TERMS = 256            # log moments each EntireE computes once
+_FLAT_TOL = 0.25             # |tail slope| below which Omega membership is inconclusive
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +69,7 @@ class EntireE:
         self.weight = weight
         self.n_cap = n_cap
         self.auto_asymptotic = auto_asymptotic
+        self._mw = moment_weight(weight)
         self._closed = weight.closed("entire")
         self._log_closed = weight.closed("log_entire_real")
         self._head = None
@@ -200,8 +202,7 @@ class EntireE:
         O(1/z) branch is flagged and the series value (if affordable) is
         returned."""
         z = complex(z)
-        mw = moment_weight(self.weight)
-        eps_lim = float(np.real(eval_eps(mw, 1e6)))
+        eps_lim = float(np.real(eval_eps(self._mw, 1e6)))
         boundary = (math.pi / 2 + delta) * max(eps_lim, 1e-6)
         if abs(np.angle(z)) > min(boundary, math.pi):
             val = None
@@ -220,17 +221,25 @@ class EntireE:
                 return EAsymptotic(0j, -math.inf, "subdominant")
             la = math.log(abs(val)) if val != 0 else -math.inf
             return EAsymptotic(val, la, "subdominant")
-        try:
-            sp = solve_saddle(mw, z)
-        except (DomainError,) as exc:
-            raise SaddleFailure(str(exc)) from exc
-        s = sp.s_z
-        eps = eval_eps(mw, s)
-        log_e = (0.5 * (np.log(2 * np.pi) + np.log(s) - np.log(eps))
-                 + s * eps - np.log(z))
-        la = float(np.real(log_e))
-        value = np.exp(log_e) if la < LOG_FLOAT_MAX else complex(np.inf)
+        value, la, sp = _saddle_value(self._mw, z, 1.0, np.log(z))
         return EAsymptotic(complex(value), la, "main", sp)
+
+
+def _saddle_value(mw: WeightSpec, z, sign: float, log_z):
+    """(value, log |value|, SaddlePoint) of the saddle-point term exp(0.5
+    (log s + sign log 2 pi - log eps) + sign s eps - log_z), s the twin's
+    saddle of z: K(t) is sign -1, E(z) sign +1 with log_z = log z.  inf
+    where it overflows; SaddleFailure where there is no saddle."""
+    try:
+        sp = solve_saddle(mw, z)
+    except (DomainError, NoConvergence) as exc:
+        raise SaddleFailure(str(exc)) from exc
+    s = sp.s_z
+    eps = eval_eps(mw, s)
+    log_v = (0.5 * (np.log(s) + sign * np.log(2 * np.pi) - np.log(eps))
+             + sign * (s * eps) - log_z)
+    la = float(np.real(log_v))
+    return (np.exp(log_v) if la < LOG_FLOAT_MAX else complex(np.inf)), la, sp
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +273,6 @@ class KernelK:
     _mw: WeightSpec = field(init=False, repr=False)
     _closed: Optional[Callable] = field(init=False, repr=False)
     _log_abs_closed: Optional[Callable] = field(init=False, repr=False)
-    _grid: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._mw = moment_weight(self.weight)
@@ -287,31 +295,29 @@ class KernelK:
 
     # -- Mellin inversion ----------------------------------------------------
 
-    def _abscissa(self, log_t):
+    def _abscissa(self, log_t, log_floor):
         """For an array of log t, as lists: the real saddles c of phi(z) = log
         gamma~(z) - z log t, where phi is smallest on the real axis; the
         widths sigma = phi''(c)^(-1/2) of the integrand's peak across the
-        line; and, where the saddle lies left of the half-plane and c is
-        clamped at its edge, the slope phi'(c) > 0: the rate of the
-        integrand's linear phase t^(-iy) there (zero elsewhere).
+        line; and, where c stops short of the saddle, the slope phi'(c): the
+        rate of the integrand's linear phase t^(-iy) there (zero elsewhere).
 
-        A log grid of c, shared by all nodes and by all calls (its weight
-        values are computed once), brackets each minimum, and a
-        safeguarded Newton step on finite differences refines each to
-        within sigma, with one weight call per step for all nodes.  c stays
-        inside the twin's evaluable half-plane and its sector.
+        The first slope of log gamma~ >= log t on the twin's ray grid
+        (``WeightSpec.ray``) brackets each minimum, and a safeguarded Newton
+        step on finite differences refines each to within sigma, one weight
+        call per step for all nodes.  Where phi there is below log_floor, K
+        is too, and c stops at the first grid point where it is: short of
+        far saddles, where log gamma~ rounds off by more than the integrand
+        decays.  c stays in the twin's evaluable half-plane and its sector.
         """
         mw = self._mw
-        lo = max(mw.min_real, -mw.shift_c)
-        if self._grid is None:
-            cs = lo + 10.0 ** np.arange(-3.0, 12.0, 1.0 / 3.0)
-            cs = cs[cs < mw.max_real]
-            lg = np.real(mw.log_gamma(cs))
-            self._grid = cs, np.where(np.isnan(lg), np.inf, lg)
-        cs, lg = self._grid
-        k = (lg - log_t[:, None] * cs).argmin(axis=1)
-        a, b, c = (cs[k - (k > 0)].tolist(), cs[k + (k < len(cs) - 1)].tolist(),
-                   cs[k].tolist())
+        lo, cs, lg, grid_slope = mw.ray
+        k = np.searchsorted(grid_slope, log_t)
+        under = lg[k] - cs[k] * log_t < log_floor
+        k[under] = np.argmax(lg - np.outer(log_t[under], cs) < log_floor, axis=1)
+        a = np.where(under, cs[k], cs[k - (k > 0)]).tolist()
+        b = np.where(under, cs[k], cs[k + (k < len(cs) - 1)]).tolist()
+        c, under = cs[k].tolist(), under.tolist()
         sigma, slope = [1.0] * len(c), [0.0] * len(c)
         lts, live = log_t.tolist(), list(range(len(c)))
         for _ in range(40):
@@ -341,7 +347,8 @@ class KernelK:
                     nxt.append(i)
                 c[i] = new
             live = nxt
-        return c, sigma, [d if ci <= cs[0] else 0.0 for ci, d in zip(c, slope)]
+        return c, sigma, [d if ci <= cs[0] or u else 0.0
+                          for ci, d, u in zip(c, slope, under)]
 
     def _line_sums(self, t, tol, log_floor=_LOG_TINY, m=0):
         """Trapezoidal sums of K(t) = (1/2 pi i) int t^{-z} gamma~(z) dz for
@@ -378,7 +385,7 @@ class KernelK:
         log_t = np.log(ta)
         if not real and (np.abs(log_t.imag) > math.pi / 2 - 0.05).any():
             raise DomainError("Mellin line integral valid for |arg t| < pi/2")
-        c, sigma, slope = self._abscissa(log_t.real)
+        c, sigma, slope = self._abscissa(log_t.real, log_floor)
         order = np.argsort(log_t.real, kind="stable").tolist()
         kind = float if real else complex
         rows = (len(ta), m + 1) if m else len(ta)
@@ -532,15 +539,7 @@ class KernelK:
 
     def asymptotic(self, t):
         """Saddle-point value sqrt(s/(2 pi eps)) exp(-s eps) for the kernel."""
-        try:
-            sp = solve_saddle(self._mw, t)
-        except (DomainError, NoConvergence) as exc:
-            raise SaddleFailure(str(exc)) from exc
-        s = sp.s_z
-        eps = eval_eps(self._mw, s)
-        log_k = 0.5 * (np.log(s) - np.log(2 * np.pi) - np.log(eps)) - s * eps
-        la = float(np.real(log_k))
-        value = np.exp(log_k) if la < LOG_FLOAT_MAX else complex(np.inf)
+        value, la, sp = _saddle_value(self._mw, t, -1.0, 0.0)
         if complex(t).imag == 0:
             value = float(np.real(value))
         return value, la, sp
@@ -598,7 +597,6 @@ class OmegaDomain:
     eta: float
     t_range: tuple = (1e-2, 1e4)
     n_probe: int = 160
-    flat_tol: float = 0.25
 
     def __post_init__(self):
         self._E = EntireE(self.weight)
@@ -625,7 +623,7 @@ class OmegaDomain:
                       (math.log(self._ts[-1]) - math.log(self._ts[-q])))
         sup_log = float(np.max(vals))
         peak = int(np.argmax(vals))
-        if abs(tail_slope) < self.flat_tol:
+        if abs(tail_slope) < _FLAT_TOL:
             return OmegaMembership(False, sup_log, True, float(tail_slope))
         member = bool(tail_slope < 0 and peak < self.n_probe - 1)
         return OmegaMembership(member, sup_log, False, float(tail_slope))
@@ -700,14 +698,13 @@ def verify_K1_deriv(w: WeightSpec, n_max: int = 6, delta: Optional[float] = None
     eps-limit > 0 a bounded constant needs delta with delta(1+delta) >=
     (pi/2) eps_lim, hence the default choice.
     """
-    mw = moment_weight(w)
+    K = KernelK(w)
     if delta is None:
-        eps_lim = float(np.real(eval_eps(mw, 1e6)))
+        eps_lim = float(np.real(eval_eps(K._mw, 1e6)))
         delta = 0.25 if eps_lim < 0.05 else \
             0.1 + (math.sqrt(1.0 + 2.0 * math.pi * eps_lim) - 1.0) / 2.0
-    ghat = [gamma_hat_numeric(mw, n).log_value for n in range(n_max + 1)]
+    ghat = [gamma_hat_numeric(K._mw, n).log_value for n in range(n_max + 1)]
     ts = np.linspace(*t_range, n_pts)
-    K = KernelK(w)
     _, log_factor, rows, _ = K._line_sums(
         np.exp(np.concatenate((ts, ts - delta))), K.mellin_tol,
         log_floor=-math.inf, m=n_max)
@@ -732,11 +729,10 @@ def verify_E_curve(w: WeightSpec, eta: float = 1.05, r_range=(5.0, 60.0),
                    n_r: int = 8) -> LemmaReport:
     """Measure max{|E(z)| : |arg z| >= theta(r) or |z| <= r} / E(r)."""
     E = EntireE(w)
-    mw = moment_weight(w)
     rs = np.geomspace(*r_range, n_r)
     logC = []
     for r in rs:
-        theta = min(eta / math.exp(log_L_hat(mw, L_inverse(mw, r))),
+        theta = min(eta / math.exp(log_L_hat(E._mw, L_inverse(E._mw, r))),
                     0.95 * math.pi)
         best = -math.inf
         # circle |z| = r, angles theta..pi
@@ -767,11 +763,10 @@ def verify_E_exp(w: WeightSpec, k_range=(20, 60)) -> LemmaReport:
     """Measure E(L(k)) e^{-2k}; the bound requires a stable (non-growing)
     constant, and for the classical weight the ratio is strictly decreasing."""
     E = EntireE(w)
-    mw = moment_weight(w)
     ks = list(range(k_range[0], k_range[1] + 1))
     logC = []
     for k in ks:
-        Lk = math.exp(float(np.real(log_L(mw, k))))
+        Lk = math.exp(float(np.real(log_L(E._mw, k))))
         logC.append(E.log_eval_real(Lk) - 2.0 * k)
     diffs = np.diff(logC)
     non_increasing = bool(np.all(diffs <= 1e-9))

@@ -24,7 +24,7 @@ from scipy.integrate import quad
 from .errors import (DegenerateDenominator, DerivativeUnavailable, DomainError,
                      IncompatibleGrowth, PoleOnRayWarning, QuadratureStall)
 from .kernels import EntireE, KernelK
-from .weights import L_inverse, WeightSpec, log_L_hat, moment_weight
+from .weights import L_inverse, WeightSpec, log_L_hat
 
 MAX_FD_ORDER = 8  # finite-difference derivatives beyond this are ill-conditioned
 _EPS = np.finfo(float).eps
@@ -533,8 +533,7 @@ def laplace_derivative_n(F: FunctionHandle, K: KernelK, x: float, n: int,
 # the summation pipeline
 # ---------------------------------------------------------------------------
 
-def continue_borel_series(b: FormalSeries, continuation="pade",
-                          pade_order=None):
+def continue_borel_series(b: FormalSeries, continuation="pade"):
     """Pick the Borel-side evaluator: a user handle, the truncated
     polynomial, or a screened Pade approximant.
 
@@ -550,7 +549,7 @@ def continue_borel_series(b: FormalSeries, continuation="pade",
     if continuation != "pade":
         raise DomainError(f"unknown continuation {continuation!r}")
     N = len(b) - 1
-    m, n = pade_order or (N - N // 2, N // 2)
+    m, n = N - N // 2, N // 2
     pa = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PoleOnRayWarning)
@@ -574,16 +573,16 @@ def continue_borel_series(b: FormalSeries, continuation="pade",
 
 
 def moment_sum(a: FormalSeries, w: WeightSpec, x: float,
-               continuation="pade", pade_order=None, tol: float = 1e-9,
+               continuation="pade", tol: float = 1e-9,
                t_cap: float = 1e6) -> SummationResult:
     """Resummation: borel_coeffs -> analytic continuation -> Laplace integral.
 
     ``continuation`` is either a FunctionHandle for the Borel-side function
-    or "pade" (default order near (N/2, N/2) with pole screening).
+    or "pade" (order near (N/2, N/2) with pole screening).
     """
     K = KernelK(w)
     b = borel_coeffs(a, w)
-    F, diag = continue_borel_series(b, continuation, pade_order)
+    F, diag = continue_borel_series(b, continuation)
     res = laplace_quadrature(F, K, x, tol, t_cap)
     res.method = "moment_sum"
     res.diagnostics.update(diag)
@@ -613,7 +612,6 @@ def borel_contour(g: FunctionHandle, w: WeightSpec, x: float, n: int = 0,
         raise DomainError(
             "borel_contour needs a closed-form E for off-ray evaluation; "
             f"{w.describe()} has none")
-    mw = moment_weight(w)
     r_g = g.analytic_radius
     if R is None:
         R = max(1.0, 1.35 * abs(x) / min(r_g, 1e6))
@@ -623,7 +621,7 @@ def borel_contour(g: FunctionHandle, w: WeightSpec, x: float, n: int = 0,
             f"disk (radius {r_g})")
 
     # theta_R from the companion sequence profile of the moment weight
-    theta = min(eta * math.exp(-log_L_hat(mw, L_inverse(mw, max(R, 2.0)))),
+    theta = min(eta * math.exp(-log_L_hat(E._mw, L_inverse(E._mw, max(R, 2.0)))),
                 0.95 * math.pi)
 
     def Ew(wv):

@@ -29,6 +29,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +39,13 @@ from scipy.special import digamma, erfc, gammaln, loggamma, wofz
 from .errors import BracketError, DomainError, NoConvergence, UnsupportedFamily
 
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # ~709.78
+_H_REL = 1e-6             # relative step of the central-difference eps
+_NEWTON_MAX_ITER = 80     # damped Newton steps of a complex saddle
+_GHAT_REL_TOL = 1e-6      # golden-section width of the gamma-hat maximizer
+_GHAT_RHO_FLOOR = 1e-6    # smallest rho the gamma-hat search probes
+# ray grid offsets 10^(k/3 - 3): 195 points to 4.6e61, past every family's
+# saddle-search start times 2^200
+_RAY_OFFSETS = 10.0 ** np.arange(-3.0, 62.0, 1.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +493,21 @@ class WeightSpec:
                 self._moment_cache[n] = float(np.real(self.log_gamma(n)))
             return self._moment_cache[n]
 
+    @cached_property
+    def ray(self) -> tuple:
+        """(lo, cs, lg, slope): log gamma, in one weight call, on the ray
+        grid cs = lo + _RAY_OFFSETS below max_real, lo the lowest evaluable
+        point, cut to its first run of finite values; slope[k] is the slope
+        of lg from cs[k] to cs[k + 1].  Every real root on the ray starts
+        from it."""
+        lo = max(self.min_real, -self.shift_c)
+        cs = lo + _RAY_OFFSETS[lo + _RAY_OFFSETS < self.max_real]
+        with np.errstate(all="ignore"):
+            lg = np.real(self.log_gamma(cs))
+        a, b = np.flatnonzero(np.diff(np.r_[False, np.isfinite(lg), False]))[:2]
+        cs, lg = cs[a:b], lg[a:b]
+        return lo, cs, lg, np.diff(lg) / np.diff(cs)
+
     def moment(self, n: int) -> float:
         lg = self.moment_log(n)
         if lg > LOG_FLOAT_MAX:
@@ -530,28 +553,15 @@ def moment_weight(w: WeightSpec) -> WeightSpec:
 # L, eps and the saddle machinery
 # ---------------------------------------------------------------------------
 
-def eval_gamma(w: WeightSpec, s):
-    """gamma(s) on the sector; raises DomainError/OverflowError per contract."""
-    return w.gamma(s)
-
-
 def log_L(w: WeightSpec, s):
     if s == 0:
         raise DomainError("L(s) undefined at s = 0")
     return w.log_gamma(s) / s
 
 
-def eval_L_eps(w: WeightSpec, s, h_rel: float = 1e-6):
-    """Return (L(s), eps(s)).
-
-    eps uses the family's analytic formula when one is known, otherwise a
-    central difference of log L with step ``h_rel * |s|``.
-    """
-    L = np.exp(log_L(w, s))
-    return L, eval_eps(w, s, h_rel=h_rel)
-
-
-def eval_eps(w: WeightSpec, s, h_rel: float = 1e-6, force_numeric: bool = False):
+def eval_eps(w: WeightSpec, s, force_numeric: bool = False):
+    """eps(s) = s L'(s)/L(s): the family's analytic formula when it has one,
+    otherwise a central difference of log L with step ``_H_REL * |s|``."""
     fn = w.record.eps
     if fn is not None and not force_numeric:
         sa = s + w.arg_shift
@@ -563,13 +573,13 @@ def eval_eps(w: WeightSpec, s, h_rel: float = 1e-6, force_numeric: bool = False)
             # the log(gamma)/s term divides by the outer s, not s+shift
             eps = eps + w.log_gamma(s) * (1.0 / sa - 1.0 / s)
         return eps
-    h = h_rel * abs(s)
-    dlogL = (log_L(w, s + h) - log_L(w, s - h)) / (2 * h)
+    h = _H_REL * abs(s)
+    dlogL = (w.log_gamma(s + h) / (s + h) - w.log_gamma(s - h) / (s - h)) / (2 * h)
     return s * dlogL
 
 
 def _profile(w: WeightSpec, rho: float) -> float:
-    """log L(rho) + eps(rho), the real-axis saddle profile."""
+    """log L(rho) + eps(rho) = (log gamma)'(rho), the saddle profile."""
     return float(np.real(log_L(w, rho))) + float(np.real(eval_eps(w, rho)))
 
 
@@ -581,69 +591,64 @@ class SaddlePoint:
     residual: float
 
 
-def _ray_root(f, lo: float, xtol: float = 1e-12, rtol: float = 1e-15) -> float:
-    """Root of an increasing function f on [lo, inf); lo itself when
-    f(lo) >= 0.
-
-    The bracket end doubles from 2 lo until f changes sign, then brentq
-    refines it.  After 200 doublings the search gives up with NoConvergence
-    rather than hand brentq an interval without a sign change.
-    """
+def _grid_root(w: WeightSpec, f, lo: float, keys, xtol: float = 1e-12,
+               rtol: float = 1e-15) -> float:
+    """Root of an increasing f on [lo, inf); lo itself when f(lo) >= 0.
+    ``keys`` holds one value of f per interval of w's ray grid; brentq
+    refines the root between the neighbours of the first key >= 0 right of
+    lo.  A root past the grid raises NoConvergence."""
     if f(lo) >= 0:
         return lo
-    hi = 2.0 * lo
-    for _ in range(200):
-        fhi = f(hi)
-        if fhi >= 0:
-            return brentq(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=200)
-        hi *= 2.0
-    raise NoConvergence(f"no sign change on the ray up to {hi / 2:.3g}",
-                        last_iterate=hi / 2, residual=abs(fhi))
+    cs = w.ray[1]
+    j = int(np.searchsorted(cs, lo, side="right"))
+    k = j + int(np.searchsorted(keys[j:], 0.0))
+    if k + 1 >= len(cs):
+        raise NoConvergence(f"no sign change on the ray up to {cs[-1]:.3g}",
+                            last_iterate=cs[-1], residual=abs(f(cs[-1])))
+    return brentq(f, lo if k == j else cs[k - 1], cs[k + 1], xtol=xtol,
+                  rtol=rtol, maxiter=200)
 
 
 def L_inverse(w: WeightSpec, r: float) -> float:
     """L^{-1}(r) on the ray, clamped below at max(min_real + 1, 2)."""
     target = math.log(r)
-    return _ray_root(lambda k: float(np.real(log_L(w, k))) - target,
-                     max(w.min_real + 1.0, 2.0), xtol=1e-9,
-                     rtol=4 * np.finfo(float).eps)
+    _, cs, lg, _ = w.ray
+    return _grid_root(w, lambda k: float(np.real(log_L(w, k))) - target,
+                      max(w.min_real + 1.0, 2.0), lg[1:] / cs[1:] - target,
+                      xtol=1e-9, rtol=4 * np.finfo(float).eps)
 
 
-def _saddle_threshold(w: WeightSpec) -> float:
-    return math.exp(_profile(w, max(w.rho0, w.min_real + 1.0)))
-
-
-def solve_saddle(w: WeightSpec, z, tol: float = 1e-10,
-                 max_iter: int = 80) -> SaddlePoint:
+def solve_saddle(w: WeightSpec, z, tol: float = 1e-10) -> SaddlePoint:
     """Solve log L(s) + eps(s) = log z for s in the sector.
 
-    Real positive z uses monotone bracketing on the ray (NoConvergence when
-    the saddle lies past the bracket's reach, ~2^200 rho0); complex z runs a
-    damped Newton iteration started from the real-axis solution for |z|.
+    Real positive z: the slopes of log gamma between ray grid neighbours
+    are mean values of the increasing profile, so the first >= log z
+    brackets the root for brentq (NoConvergence past 4.6e61).  Complex z
+    runs a damped Newton iteration from the real solution for |z|.
     """
     z = complex(z)
     if z == 0:
         raise DomainError("saddle point needs z != 0")
-    zmin = _saddle_threshold(w)
+    lo = max(w.rho0, w.min_real + 1.0)
+    zmin = math.exp(_profile(w, lo))
     if abs(z) < zmin:
         raise DomainError(
             f"|z|={abs(z):.4g} below saddle threshold {zmin:.4g} for "
             f"{w.describe()}")
     target = math.log(abs(z))
-    rho = _ray_root(lambda r: _profile(w, r) - target,
-                    max(w.rho0, w.min_real + 1.0))
+    rho = _grid_root(w, lambda r: _profile(w, r) - target, lo,
+                     w.ray[3] - target)
 
     def h(s):
         return log_L(w, s) + eval_eps(w, s) - np.log(z)
 
     s = complex(rho)
+    res = abs(h(s))
     if abs(z.imag) == 0 and z.real > 0:
-        res = abs(h(s))
         return SaddlePoint(z, s, res)
 
     # damped Newton with finite-difference derivative
-    res = abs(h(s))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if res <= tol:
             break
         hs = h(s)
@@ -670,20 +675,16 @@ def solve_saddle(w: WeightSpec, z, tol: float = 1e-10,
     return SaddlePoint(z, s, res)
 
 
-def rho_of_r(w: WeightSpec, r: float, tol: float = 1e-12) -> float:
-    """Invert r = L(rho) e^{eps(rho)} on the positive ray (monotone)."""
+def rho_of_r(w: WeightSpec, r: float) -> float:
+    """Invert r = L(rho) e^{eps(rho)} on the ray (residual below 1e-9)."""
     if r <= 0:
         raise DomainError("r must be positive")
-    lo = max(w.rho0, w.min_real + 1.0)
-    target = math.log(r)
-    if _profile(w, lo) - target > 0:
-        raise DomainError(f"r={r:.4g} below the evaluable profile range")
-    rho = _ray_root(lambda u: _profile(w, u) - target, lo)
+    rho = solve_saddle(w, r).s_z.real
     resid = abs(math.exp(_profile(w, rho)) - r) / r
-    if resid > max(tol, 1e-9):
+    if resid > 1e-9:
         raise NoConvergence("rho(r) residual too large", last_iterate=rho,
                             residual=resid)
-    return float(rho)
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +717,7 @@ class GammaHatEntry:
         return math.exp(self.log_value)
 
 
-def gamma_hat_numeric(w: WeightSpec, n: int, rel_tol: float = 1e-6,
-                      rho_floor: float = 1e-6) -> GammaHatEntry:
+def gamma_hat_numeric(w: WeightSpec, n: int) -> GammaHatEntry:
     """Maximize f(rho) = n log rho + log|gamma(i rho)| by golden section."""
     if n < 0:
         raise DomainError("n must be >= 0")
@@ -732,7 +732,7 @@ def gamma_hat_numeric(w: WeightSpec, n: int, rel_tol: float = 1e-6,
             eps = float(np.real(eval_eps(w, rho)))
             return n * math.log(rho) - 0.5 * math.pi * rho * eps
 
-    lo = max(rho_floor, w.min_real + 0.05 if w.min_real > 0 else rho_floor)
+    lo = w.min_real + 0.05 if w.min_real > 0 else _GHAT_RHO_FLOOR
     # bracket by doubling
     a = lo
     fa = f(a)
@@ -756,7 +756,7 @@ def gamma_hat_numeric(w: WeightSpec, n: int, rel_tol: float = 1e-6,
     x2 = lo_b + phi * (hi_b - lo_b)
     f1, f2 = f(x1), f(x2)
     for _ in range(300):
-        if hi_b - lo_b <= rel_tol * max(1.0, abs(lo_b)):
+        if hi_b - lo_b <= _GHAT_REL_TOL * max(1.0, abs(lo_b)):
             break
         if f1 < f2:
             lo_b, x1, f1 = x1, x2, f2

@@ -169,6 +169,20 @@ class TestDeterminismAndConfig:
         assert code == 0
         assert abs(float(out.split()[0]) - EULER_SUM_X1) < 1e-6
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("sum", "x", "0.5"), ("gammahat", "n", "40"),
+        ("kernel", "n_points", 2.5), ("sum", "weight", 3),
+        ("sum", "weight", {"gamma_power:alpha=1": 1})])
+    def test_config_value_of_wrong_type_is_2(self, capsys, tmp_path, command,
+                                             key, value):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"command": command,
+                                 "weight": "gamma_power:alpha=1", key: value}))
+        code, _, err = _run_main(capsys, ["--config", str(p)])
+        assert code == 2
+        msg = json.loads(err)
+        assert msg["error"] == "config" and key in msg["message"]
+
 
 class TestVerifyApplicability:
     def test_all_skips_shift_without_classical_kernel(self, capsys, tmp_path):

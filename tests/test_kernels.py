@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 from momentsum.errors import TruncationError, UnsupportedFamily
 from momentsum.kernels import (EntireE, KernelK, OmegaDomain, K_closed,
-                               kernel_probe_csv, verify_kernel_lemma)
+                               _LOG_TINY, kernel_probe_csv,
+                               verify_kernel_lemma)
 from momentsum.weights import (WeightSpec, eval_eps, gamma_hat_numeric,
                                moment_weight, solve_saddle)
 
@@ -385,6 +386,41 @@ def test_three_E_kernel_variant_over_full_range():
 def _product_weight(*ws):
     from momentsum.applications import MultiSumPlan
     return MultiSumPlan(list(ws)).product_weight()
+
+
+@pytest.mark.parametrize("w", [
+    WeightSpec.gamma_power(1.0), WeightSpec.gamma_power(3.0),
+    WeightSpec.log_power(1.0), WeightSpec.iterated_log(1),
+    _product_weight(W2, W2)],
+    ids=["gamma_power1", "gamma_power3", "log_power", "iterated_log",
+         "product"])
+def test_mellin_line_is_the_saddle(w):
+    # the Mellin line and solve_saddle seed from the same ray grid: the
+    # line lies within one peak width of the twin's saddle where K is
+    # representable; where it underflows (log_power at t = 30, 50, its
+    # saddle at 3.9e12 and 1.9e21) the line stops short and K is 0.0
+    K = KernelK(w)
+    ts = np.array([5.0, 20.0, 30.0, 50.0])
+    c, sigma, _ = K._abscissa(np.log(ts), _LOG_TINY)
+    for t, ci, si in zip(ts, c, sigma):
+        value, log_abs, sp = K.asymptotic(t)
+        if log_abs > _LOG_TINY:
+            assert abs(ci - sp.s_z.real) <= si
+        else:
+            assert ci < sp.s_z.real and K.mellin(t)[0] == 0.0
+
+
+@pytest.mark.parametrize("w", [
+    WeightSpec.loglog_power(1.0), WeightSpec.log_power(1.0),
+    WeightSpec.iterated_log(1)], ids=["loglog_power", "log_power",
+                                      "iterated_log"])
+def test_mellin_is_zero_where_kernel_underflows(w):
+    # the saddles lie past 1e42 (loglog_power: past the ray grid), where
+    # samples of log gamma round off by more than the integrand decays;
+    # the line stops where K is already below the floor
+    assert KernelK(w).mellin(100.0) == (0.0, 0.0)
+    if w.family == "loglog_power":
+        assert KernelK(w).mellin(10.0)[0] == 0.0
 
 
 def test_batched_mellin_matches_scalar_and_bessel_form():

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from momentsum.errors import DomainError, MomentSumError, UnsupportedFamily
-from momentsum.weights import (WeightSpec, admissibility_report, eval_L_eps,
-                               eval_eps, eval_gamma, gamma_hat_closed,
+from momentsum.weights import (WeightSpec, admissibility_report, eval_eps,
+                               gamma_hat_closed,
                                gamma_hat_closed_log, gamma_hat_numeric,
-                               moment_weight, rho_of_r, solve_saddle)
+                               L_inverse, moment_weight, rho_of_r,
+                               solve_saddle)
 
 W1 = WeightSpec.gamma_power(1.0)
 W2 = WeightSpec.gamma_power(2.0)
@@ -18,22 +19,22 @@ LOG10_POW10 = 4189.44879802953   # (ln 10)^10, mpmath 30 digits
 
 class TestEvalGamma:
     def test_gamma_power_integer_values(self):
-        assert eval_gamma(W1, 5) == pytest.approx(120.0, rel=1e-12)
+        assert W1.gamma(5) == pytest.approx(120.0, rel=1e-12)
 
     def test_gamma_power_at_zero(self):
-        assert eval_gamma(W1, 0) == pytest.approx(1.0, rel=1e-12)
+        assert W1.gamma(0) == pytest.approx(1.0, rel=1e-12)
 
     def test_log_power_value(self):
         w = WeightSpec.log_power(1.0)
-        assert eval_gamma(w, 10) == pytest.approx(LOG10_POW10, rel=1e-10)
+        assert w.gamma(10) == pytest.approx(LOG10_POW10, rel=1e-10)
 
     def test_outside_sector_raises(self):
         with pytest.raises(DomainError):
-            eval_gamma(W1, -4.0)
+            W1.gamma(-4.0)
 
     def test_overflow_redirects_to_log(self):
         with pytest.raises(OverflowError):
-            eval_gamma(W1, 400.0)
+            W1.gamma(400.0)
         assert W1.log_gamma(400.0) > 0
 
     def test_moment_sequence_is_factorial(self):
@@ -43,19 +44,19 @@ class TestEvalGamma:
 
 class TestLEps:
     def test_eps_limit_gamma_power(self):
-        _, eps = eval_L_eps(W1, 1e4)
+        eps = eval_eps(W1, 1e4)
         assert eps == pytest.approx(1.0, abs=2e-3)
 
     def test_eps_log_power_decay(self):
         w = WeightSpec.log_power(1.0)
-        _, eps = eval_L_eps(w, 1e5)
+        eps = eval_eps(w, 1e5)
         assert eps == pytest.approx(1.0 / math.log(1e5), rel=1e-6)
 
     @pytest.mark.parametrize("w,s", [(W1, 3.0), (W2, 7.0),
                                      (WeightSpec.log_power(2.0), 30.0),
                                      (WeightSpec.iterated_log(1), 12.0)])
     def test_eps_positive_on_ray(self, w, s):
-        _, eps = eval_L_eps(w, s)
+        eps = eval_eps(w, s)
         assert float(np.real(eps)) > 0
 
     @pytest.mark.parametrize("w", [
@@ -136,25 +137,56 @@ class TestSaddle:
         with pytest.raises(MomentSumError):
             solve_saddle(WeightSpec.log_power(1.0), 1e3)
 
-    @pytest.mark.parametrize("z", [13.0, 37.0, 104.0])
-    def test_iterated_log_saddle_matches_mpmath(self, z):
-        # iterated_log(1): log L + eps = log log m + (s - 1)/(m log m) with
-        # m = s - 1 + e, solved at 30 digits in u = log s
-        mp = pytest.importorskip("mpmath")
+    @staticmethod
+    def _mp_saddle(mp, h):
+        """exp(u) at the root of the increasing h(u), u = log s, at 30
+        digits."""
         with mp.workdps(30):
-            def h(u):
-                s = mp.exp(u)
-                m = s - 1 + mp.e
-                return (mp.log(mp.log(m)) + (s - 1) / (m * mp.log(m))
-                        - mp.log(z))
-
             lo, hi = mp.mpf(1), mp.mpf(2)
             while h(hi) < 0:
                 lo, hi = hi, 2 * hi
-            want = float(mp.exp(mp.findroot(h, (lo, hi), solver="anderson")))
+            return float(mp.exp(mp.findroot(h, (lo, hi), solver="anderson")))
+
+    @pytest.mark.parametrize("z", [13.0, 37.0, 104.0])
+    def test_iterated_log_saddle_matches_mpmath(self, z):
+        # iterated_log(1): log L + eps = log log m + (s - 1)/(m log m) with
+        # m = s - 1 + e
+        mp = pytest.importorskip("mpmath")
+
+        def h(u):
+            s = mp.exp(u)
+            m = s - 1 + mp.e
+            return mp.log(mp.log(m)) + (s - 1) / (m * mp.log(m)) - mp.log(z)
+        want = self._mp_saddle(mp, h)
         got = solve_saddle(WeightSpec.iterated_log(1), z).s_z
         assert got.imag == 0.0
         assert abs(got.real - want) / want < 1e-12
+
+    @pytest.mark.parametrize("z", [13.0, 60.0, 130.0])
+    def test_log_power_saddle_matches_mpmath(self, z):
+        # log_power(1): log L + eps = log u + 1/u; at z = 130 the saddle
+        # lies near 1e56, close to the far end of the ray grid
+        mp = pytest.importorskip("mpmath")
+        want = self._mp_saddle(mp, lambda u: mp.log(u) + 1 / u - mp.log(z))
+        got = solve_saddle(WeightSpec.log_power(1.0), z).s_z
+        assert got.imag == 0.0
+        assert abs(got.real - want) / want < 1e-12
+
+
+class TestLInverse:
+    @pytest.mark.parametrize("w", [W1, WeightSpec.log_power(1.0)],
+                             ids=["gamma_power", "log_power"])
+    @pytest.mark.parametrize("k", [3.0, 50.0, 1e6, 1e40])
+    def test_round_trip(self, w, k):
+        from momentsum.weights import log_L
+        r = math.exp(float(np.real(log_L(w, k))))
+        assert L_inverse(w, r) == pytest.approx(k, rel=1e-9)
+
+    @pytest.mark.parametrize("w", [W1, WeightSpec.log_power(1.0)],
+                             ids=["gamma_power", "log_power"])
+    def test_clamped_below(self, w):
+        # L(2) = sqrt(2) for gamma_power(1), L(2.1) = log 2.1 for log_power(1)
+        assert L_inverse(w, 0.5) == max(w.min_real + 1.0, 2.0)
 
 
 class TestRhoOfR:
