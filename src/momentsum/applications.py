@@ -19,7 +19,7 @@ from .errors import (DomainError, MomentSumError, NonQuasianalytic,
 from .kernels import KernelK
 from .transforms import (FormalSeries, FunctionHandle, SummationResult,
                          _horner, borel_coeffs, laplace_quadrature, moment_sum)
-from .weights import WeightSpec
+from .weights import WeightSpec, eval_eps
 
 # ---------------------------------------------------------------------------
 # weights for iterated summation
@@ -114,7 +114,9 @@ class MultiSumPlan:
         # every factor checks its own sector, so the product is evaluable
         # on the ray only right of each factor's sector vertex too
         min_real = max(max(w.min_real, -w.shift_c) for w in ws)
+        # log gamma is the sum of the factors', so eps is too
         return WeightSpec.custom(ev, min_real=min_real,
+                                 eps=lambda s: sum(eval_eps(w, s) for w in ws),
                                  rho0=max(w.rho0 for w in ws),
                                  complex_capable=all(w.complex_capable for w in ws),
                                  label=f"product({label})")

@@ -8,6 +8,7 @@ and the moderate-growth bound m_{n+1} <= C m_n^{1+1/n}.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import threading
@@ -20,6 +21,7 @@ from scipy.special import gammaln
 
 from .errors import DomainError, NonPositivePoint
 from .kernels import EntireE
+from .transforms import _horner
 from .weights import (WeightSpec, gamma_hat_closed_log, gamma_hat_closed_ratio,
                       gamma_hat_numeric)
 
@@ -149,6 +151,11 @@ class SequenceM:
     def logm(self, n: int) -> float:
         return self.logM(n) - gammaln(n + 1.0)
 
+    def logm_upto(self, n_max: int) -> np.ndarray:
+        """log m_0 .. log m_{n_max} as one array, through the cache."""
+        return (np.array([self.logM(n) for n in range(n_max + 1)])
+                - gammaln(np.arange(n_max + 1) + 1.0))
+
     def M(self, n: int) -> float:
         return math.exp(self.logM(n))
 
@@ -209,29 +216,25 @@ class RegularityReport:
                            for k, v in self.__dict__.items() if k != "details"})
 
 
+def _holds_from(ok) -> Optional[int]:
+    """1 + the first index from which every entry of ``ok`` holds; None
+    when the last one fails."""
+    bad = np.flatnonzero(~ok)
+    i = bad[-1] + 1 if len(bad) else 0
+    return int(i) + 1 if i < len(ok) else None
+
+
 def check_regularity(M: SequenceM, n_max: Optional[int] = None) -> RegularityReport:
     """Check the three regularity conditions and estimate tau(M)."""
     n_max = n_max or M.n_max
     if n_max < 10:
         raise DomainError("regularity check needs n_max >= 10")
-    lm = np.array([M.logm(n) for n in range(n_max + 1)])
-
+    lm = M.logm_upto(n_max)
     # 1. eventual log-convexity of m
-    conv_ok = lm[:-2] + lm[2:] - 2 * lm[1:-1] >= -1e-9
-    lc_from = None
-    for i in range(len(conv_ok)):
-        if conv_ok[i:].all():
-            lc_from = i + 1
-            break
-
+    lc_from = _holds_from(lm[:-2] + lm[2:] - 2 * lm[1:-1] >= -1e-9)
     # 2. eventual monotonicity of m_n^{1/n}
     v = lm[1:] / np.arange(1, n_max + 1)
-    mono_ok = np.diff(v) >= -1e-9
-    rm_from = None
-    for i in range(len(mono_ok)):
-        if mono_ok[i:].all():
-            rm_from = i + 1
-            break
+    rm_from = _holds_from(np.diff(v) >= -1e-9)
 
     # 3. moderate growth witness
     ns = np.arange(1, n_max)
@@ -246,7 +249,7 @@ def check_regularity(M: SequenceM, n_max: Optional[int] = None) -> RegularityRep
                         tail, 1)[0]
     tau = math.inf if growth > 0.02 else float(np.exp(inter))
 
-    regular = lc_from is not None and rm_from is not None and np.isfinite(C3)
+    regular = bool(lc_from and rm_from and np.isfinite(C3))
     return RegularityReport(lc_from, rm_from, C3, tau, n_max, regular,
                             {"v_tail": tail[-3:].tolist()})
 
@@ -293,17 +296,12 @@ def denjoy_carleman_classify(M: SequenceM, mode: str = "symbolic",
 
     if mode != "numeric":
         raise DomainError("mode must be 'symbolic' or 'numeric'")
-    checkpoints = [30, 100, 300, 1000, 3000, 10000]
-    S = []
-    total = 0.0
-    n = 0
-    for cp in checkpoints:
-        while n < cp:
-            total += math.exp((M.logM(n) - M.logM(n + 1)) * exponent)
-            n += 1
-        S.append(total)
-    S = np.array(S)
-    logN = np.log(np.array(checkpoints, dtype=float))
+    checkpoints = np.array([30, 100, 300, 1000, 3000, 10000])
+    lM = np.array([M.logM(n) for n in range(checkpoints[-1] + 1)])
+    # math.exp per term, summed in order: the partial sums of a plain loop
+    S = np.cumsum(np.fromiter(map(math.exp, (lM[:-1] - lM[1:]) * exponent),
+                              float))[checkpoints - 1]
+    logN = np.log(checkpoints.astype(float))
     # clean log-divergence: S ~ a + b log N with b > 0, a good fit, and a
     # slope that is stable across windows (a decaying slope is the signature
     # of a slowly convergent sum and must stay inconclusive)
@@ -349,6 +347,11 @@ def _log_abs(v) -> float:
     return math.log(a) if a > 0 else -math.inf
 
 
+def _per_n(ns, prof) -> dict:
+    """{n: exp(max over the grid)} of a (grid point, n) profile in log scale."""
+    return {int(n): math.exp(b) for n, b in zip(ns, np.max(prof, axis=0))}
+
+
 def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
                        N: Optional[SequenceM] = None,
                        weight: Optional[WeightSpec] = None,
@@ -361,67 +364,55 @@ def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
     C^{n+1}); class B fits its two conditions separately; class C fits the
     min-envelope; class D bounds Taylor remainders.  The fitted constant is
     the max of the per-n profile, so sub-grids can only shrink it.
+
+    Each f^(n)(x) is taken once per fit (one memo of ``f.derivative``: a
+    derivative can be a whole Laplace integral), and every class reads its
+    (grid point, n) profile from that table.
     """
-    xs = np.linspace(interval[0], interval[1], grid_size)
-    per_n = {}
-    extra = {}
-    if class_tag == "A":
-        if M is None or weight is None:
-            raise DomainError("class A needs M and weight")
-        E = EntireE(weight)
-        for n in range(n_min, n_max + 1):
-            best = -math.inf
-            for x in xs:
-                lr = _log_abs(f.derivative(x, n)) - M.logM(n) \
-                    - E.log_eval_real(eta * x / a)
-                best = max(best, lr / (n + 1))
-            per_n[n] = math.exp(best)
-    elif class_tag == "B":
-        if M is None or N is None:
-            raise DomainError("class B needs M and N")
-        xs_b = [x for x in xs if x > 0]
-        cond1, cond2 = {}, {}
-        jets = {x: [f.derivative(x, j) for j in range(n_max + 1)] for x in xs_b}
-        logjets = {x: exp_change_of_variables("to_log", jets[x], x)
-                   for x in xs_b}
-        for n in range(n_min, n_max + 1):
-            b1 = max((_log_abs(jets[x][n]) - M.logM(n)) / (n + 1)
-                     for x in xs_b)
-            b2 = max(math.log(max(abs(logjets[x][n]), 1e-300))
-                     - n * math.log(eta) - N.logM(n) for x in xs_b)
-            cond1[n] = math.exp(b1)
-            cond2[n] = math.exp(b2)
-            per_n[n] = max(cond1[n], cond2[n])
-        extra = {"cond1": cond1, "cond2": cond2}
-    elif class_tag == "C":
-        if M is None or N is None:
-            raise DomainError("class C needs M and N")
-        for n in range(n_min, n_max + 1):
-            best = -math.inf
-            for x in xs:
-                la = _log_abs(f.derivative(x, n))
-                # the envelope is a min, so C must satisfy both branches
-                r1 = (la - M.logM(n)) / (n + 1)
-                r2 = la - (n * math.log(mu) + N.logM(n)
-                           - n * math.log(max(abs(x), 1e-300)))
-                best = max(best, r1, r2)
-            per_n[n] = math.exp(best)
-    elif class_tag == "D":
-        if M is None or weight is None:
-            raise DomainError("class D needs M and weight")
-        from .transforms import remainder_Rn
-        zs = [z for z in xs if abs(z) > 0]
-        for n in range(max(n_min, 1), n_max + 1):
-            best = -math.inf
-            for z in zs:
-                R = abs(remainder_Rn(f, float(z), n))
-                lr = (math.log(max(R, 1e-300)) + gammaln(n + 1.0)
-                      - M.logM(n) - weight.moment_log(n)
-                      - n * math.log(abs(z)))
-                best = max(best, lr / (n + 1))
-            per_n[n] = math.exp(best)
-    else:
+    needs = {"A": ("M", "weight"), "B": ("M", "N"), "C": ("M", "N"),
+             "D": ("M", "weight")}.get(class_tag)
+    if needs is None:
         raise DomainError(f"unknown class tag {class_tag!r}")
+    if any({"M": M, "N": N, "weight": weight}[k] is None for k in needs):
+        raise DomainError(f"class {class_tag} needs {' and '.join(needs)}")
+    xs = np.linspace(interval[0], interval[1], grid_size)
+    ns = np.arange(max(n_min, 1) if class_tag == "D" else n_min, n_max + 1)
+    lM = np.array([M.logM(n) for n in ns])
+    lN = np.array([N.logM(n) for n in ns]) if "N" in needs else None
+    deriv = functools.cache(f.derivative)
+    extra = {}
+    if class_tag == "D":
+        # Taylor remainders R_n(z) from the coefficients at 0, as
+        # transforms.remainder_Rn forms them
+        c0 = [deriv(0.0, k) / math.factorial(k) for k in range(n_max)]
+        zs = [float(z) for z in xs if abs(z) > 0]
+        lR = np.array([[math.log(max(abs(deriv(z, 0) - _horner(c0[:n], z)),
+                                     1e-300)) for n in ns] for z in zs])
+        lz = np.array([math.log(abs(z)) for z in zs])
+        lmu = np.array([weight.moment_log(n) for n in ns])
+        prof = (lR + gammaln(ns + 1.0) - lM - lmu - ns * lz[:, None]) / (ns + 1)
+    else:
+        pts = xs[xs > 0] if class_tag == "B" else xs
+        la = np.array([[_log_abs(deriv(x, n)) for n in ns] for x in pts])
+        if class_tag == "A":
+            E = EntireE(weight)
+            lE = np.array([E.log_eval_real(eta * x / a) for x in pts])
+            prof = (la - lM - lE[:, None]) / (ns + 1)
+        else:
+            r1 = (la - lM) / (ns + 1)
+            if class_tag == "B":
+                lj = [exp_change_of_variables(
+                    "to_log", [deriv(x, j) for j in range(n_max + 1)], x)
+                    for x in pts]
+                r2 = np.array([[math.log(max(abs(g[n]), 1e-300)) for n in ns]
+                               for g in lj]) - ns * math.log(eta) - lN
+                extra = {"cond1": _per_n(ns, r1), "cond2": _per_n(ns, r2)}
+            else:
+                # the envelope is a min, so C must satisfy both branches
+                lx = np.array([math.log(max(abs(x), 1e-300)) for x in pts])
+                r2 = la - (ns * math.log(mu) + lN - ns * lx[:, None])
+            prof = np.maximum(r1, r2)
+    per_n = _per_n(ns, prof)
     C = max(per_n.values())
     return ClassFit(class_tag, C, per_n,
                     {"interval": list(interval), "grid_size": grid_size,
@@ -432,32 +423,29 @@ def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
 # associated weight and regular-sequence facts
 # ---------------------------------------------------------------------------
 
+def _h_argmin(M: SequenceM, r: float, n_max: Optional[int]):
+    """(min_n log(m_n r^n), its first argmin, n_max) over the cached range."""
+    if r <= 0:
+        raise DomainError("h(r) needs r > 0")
+    n_max = n_max or M.n_max
+    vals = M.logm_upto(n_max) + np.arange(n_max + 1) * math.log(r)
+    arg = int(np.argmin(vals))
+    return float(vals[arg]), arg, n_max
+
+
 def associated_weight_h(M: SequenceM, r: float, n_max: Optional[int] = None):
     """Dynkin's h(r) = inf_{n >= 0} m_n r^n over the cached range.
 
     Returns (h, argmin, at_cap); h underflows to 0.0 gracefully (the log
     value is in the report tuple via math.log fallback at the caller).
     """
-    if r <= 0:
-        raise DomainError("h(r) needs r > 0")
-    n_max = n_max or M.n_max
-    logr = math.log(r)
-    best, arg = math.inf, 0
-    for n in range(n_max + 1):
-        v = M.logm(n) + n * logr
-        if v < best:
-            best, arg = v, n
-    at_cap = arg == n_max
-    return (math.exp(best) if best > -745 else 0.0), arg, at_cap
+    best, arg, n_max = _h_argmin(M, r, n_max)
+    return (math.exp(best) if best > -745 else 0.0), arg, arg == n_max
 
 
 def associated_weight_h_log(M: SequenceM, r: float,
                             n_max: Optional[int] = None) -> float:
-    if r <= 0:
-        raise DomainError("h(r) needs r > 0")
-    n_max = n_max or M.n_max
-    logr = math.log(r)
-    return min(M.logm(n) + n * logr for n in range(n_max + 1))
+    return _h_argmin(M, r, n_max)[0]
 
 
 @dataclass
@@ -477,28 +465,26 @@ def regular_sequence_facts(M: SequenceM, C1: float = 4.0,
     n in [k, C1 k]; (iii) m_k^{n/k} <= C4^{k+n} m_n.  A C4 witness that
     grows with the range flags a non-slowly-varying profile."""
     n_max = n_max or M.n_max
-    lm = [M.logm(n) for n in range(n_max + 1)]
-    v = [lm[n] / n if n else 0.0 for n in range(n_max + 1)]
+    lm = M.logm_upto(n_max)
+    ns = np.arange(n_max + 1)
+    v = np.r_[0.0, lm[1:] / ns[1:]]
+    # math.log per k: numpy's SIMD log can differ from libm's in the last bit
+    logk = np.array([math.log(k) for k in range(2, n_max + 1)])
+    C2 = max(float(np.max((v[2:] - lm[1]) / logk)), 0.0)
 
-    c2 = max((v[k] - lm[1]) / math.log(k) for k in range(2, n_max + 1))
-    C2 = max(c2, 0.0)
-
-    C3 = 1.0
-    for k in range(1, n_max + 1):
-        for n in range(k, min(int(C1 * k), n_max) + 1):
-            C3 = max(C3, math.exp(v[n] - v[k]))
-
-    def c4_over(limit):
-        worst = 0.0
-        for k in range(1, limit + 1):
-            for n in range(1, limit + 1):
-                worst = max(worst, ((n / k) * lm[k] - lm[n]) / (k + n))
-        return math.exp(worst)
-
-    C4_half = c4_over(n_max // 2)
-    C4 = c4_over(n_max)
+    # (k, n) tables over k, n = 1..n_max: exp is monotone, so the max of the
+    # exponentials is the exponential of the max
+    k, n = ns[1:, None], ns[None, 1:]
+    window = (n >= k) & (n <= (C1 * k).astype(int))
+    C3 = max(1.0, math.exp(np.max(v[n] - v[k], where=window,
+                                  initial=-math.inf)))
+    c4 = ((n / k) * lm[k] - lm[n]) / (k + n)
+    half = n_max // 2
+    C4_half = math.exp(np.max(c4[:half, :half], initial=0.0))
+    C4 = math.exp(np.max(c4, initial=0.0))
     # slowly varying profile: v(2k) - v(k) -> 0, measured as a decreasing trend
-    deltas = [v[2 * k] - v[k] for k in (n_max // 8, n_max // 4, n_max // 2)]
+    deltas = [float(v[2 * j] - v[j])
+              for j in (n_max // 8, n_max // 4, n_max // 2)]
     slowly = bool(deltas[1] <= deltas[0] * 0.97 + 1e-12
                   and deltas[2] <= deltas[1] * 0.97 + 1e-12)
     return RegularFactsReport(C2, C3, C4, C4_half, slowly,

@@ -133,7 +133,7 @@ def _seg_dist(z: complex, a: complex, b: complex) -> float:
     return abs(z - (a + t * ab))
 
 
-@dataclass
+@dataclass(frozen=True)
 class NeighborhoodSet:
     """The shrinking neighborhoods V/U/Omega_k of an interval or Omega
     domain, driven by the weight profiles Lhat(k), L(k) and m_k^{1/k}.
@@ -152,40 +152,39 @@ class NeighborhoodSet:
     weight: WeightSpec
     logm: Callable[[int], float]          # log m_k of the driving sequence
     interval: tuple = (0.0, 1.0)
-    _mw: WeightSpec = field(init=False, repr=False)
+    # the profiles at k, taken once: Lhat is a whole golden-section search
+    _Lhat: float = field(init=False, repr=False)
+    _L: float = field(init=False, repr=False)
+    _mk_root: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("V", "U", "Omega_k"):
             raise DomainError("kind must be V, U, or Omega_k")
-        self._mw = moment_weight(self.weight)
-
-    def _Lhat(self) -> float:
-        return math.exp(log_L_hat(self._mw, max(self.k, 2)))
-
-    def _L(self) -> float:
-        return math.exp(float(np.real(log_L(self._mw, max(self.k, 2)))))
-
-    def _mk_root(self) -> float:
-        return math.exp(self.logm(self.k) / self.k)
+        mw, k = moment_weight(self.weight), max(self.k, 2)
+        object.__setattr__(self, "_Lhat", math.exp(log_L_hat(mw, k)))
+        object.__setattr__(self, "_L",
+                           math.exp(float(np.real(log_L(mw, k)))))
+        object.__setattr__(self, "_mk_root",
+                           math.exp(self.logm(self.k) / self.k))
 
     def tube_radius(self) -> float:
         if self.kind == "V":
-            return 1.0 / (self.Q * self._mk_root())
-        return 1.0 / (self.Q * self._mk_root() * self._L())
+            return 1.0 / (self.Q * self._mk_root)
+        return 1.0 / (self.Q * self._mk_root * self._L)
 
     def contains(self, z) -> bool:
         z = complex(z)
         if self.kind == "V":
             zs = project_to_interval(z, self.interval)
             d = abs(z - zs)
-            return d <= abs(zs) * self.eta / self._Lhat() or \
+            return d <= abs(zs) * self.eta / self._Lhat or \
                 d <= self.tube_radius()
         if self.kind == "U":
             return self._dist_sector(z) <= self.tube_radius()
         return self._dist_omega(z) <= self.tube_radius()
 
     def _dist_sector(self, z: complex) -> float:
-        theta = self.eta / self._Lhat()
+        theta = self.eta / self._Lhat
         if theta >= 0.499 * math.pi:
             raise DomainError(
                 "U-set sector half-angle >= pi/2: the construction needs a "
@@ -241,7 +240,7 @@ class NeighborhoodSet:
         if self.kind != "V":
             raise DomainError("boundary sampling implemented for V sets")
         j0, j1 = self.interval
-        Lh = self._Lhat()
+        Lh = self._Lhat
         tube = self.tube_radius()
 
         def halfwidth(x):
@@ -278,7 +277,7 @@ def v_set_separation(ns_k: NeighborhoodSet, ns_k1: NeighborhoodSet,
     arr0 = np.array(pts0)
     measured = min(float(np.min(np.abs(arr0 - p))) for p in pts1)
     t_k, t_k1 = ns_k.tube_radius(), ns_k1.tube_radius()
-    Lh_k, Lh_k1 = ns_k._Lhat(), ns_k1._Lhat()
+    Lh_k, Lh_k1 = ns_k._Lhat, ns_k1._Lhat
     bound = min(t_k1 - t_k if t_k1 > t_k else t_k - t_k1,
                 0.5 * ns_k.eta * t_k1 * (Lh_k1 / Lh_k - 1.0))
     return measured, bound

@@ -270,7 +270,9 @@ class _Family:
 _FAMILIES = {
     f.name: f
     for f in [
-        _Family("log_power", _lg_log_power, _eps_log_power, _fixed(1.10), 8.0,
+        # log log log s, the beta factor, is undefined below e
+        _Family("log_power", _lg_log_power, _eps_log_power,
+                lambda p: math.e + 0.10 if p.get("beta", 0.0) else 1.10, 8.0,
                 ghat_factor=lambda p, ln: 2.0 / (math.pi * p["alpha"]) * ln,
                 ghat_ratio=lambda p: {"p": 1.0, "q": 1.0}),
         _Family("loglog_power", _lg_loglog_power, _eps_loglog_power,
@@ -733,24 +735,20 @@ def gamma_hat_numeric(w: WeightSpec, n: int) -> GammaHatEntry:
             return n * math.log(rho) - 0.5 * math.pi * rho * eps
 
     lo = w.min_real + 0.05 if w.min_real > 0 else _GHAT_RHO_FLOOR
-    # bracket by doubling
-    a = lo
+    # bracket by doubling: the maximum lies between the probe before the
+    # best one and the first probe below it
+    lo_b, a = lo, lo
     fa = f(a)
     b = 2.0 * max(a, 0.5)
-    grew = False
     while True:
         fb = f(b)
         if fb < fa:
             break
-        a, fa = b, fb
-        grew = True
+        lo_b, a, fa = a, b, fb
         b *= 2.0
         if b > 1e120:
             raise BracketError("no interior maximum up to the growth cap")
-    if not grew:
-        # maximum at the left edge (n = 0 style peak)
-        return GammaHatEntry(n, fa, a, mode, _ratio_form_log(w, n))
-    lo_b, hi_b = a / 2.0 if a > lo else lo, b
+    hi_b = b
     phi = (math.sqrt(5.0) - 1) / 2
     x1 = hi_b - phi * (hi_b - lo_b)
     x2 = lo_b + phi * (hi_b - lo_b)
@@ -767,8 +765,12 @@ def gamma_hat_numeric(w: WeightSpec, n: int) -> GammaHatEntry:
             x1 = hi_b - phi * (hi_b - lo_b)
             f1 = f(x1)
     rho_star = 0.5 * (lo_b + hi_b)
-    return GammaHatEntry(n, f(rho_star), rho_star, mode,
-                         _ratio_form_log(w, n))
+    f_star = f(rho_star)
+    if fa > f_star:
+        # the best probe wins at a peak on the edge lo, where the golden
+        # section's last width costs |f'(lo)| times that width
+        f_star, rho_star = fa, a
+    return GammaHatEntry(n, f_star, rho_star, mode, _ratio_form_log(w, n))
 
 
 def _ratio_form_log(w: WeightSpec, n: int) -> Optional[float]:

@@ -126,6 +126,21 @@ class TestMultisum:
             assert abs(lp - gammaln(n + 1.0)) < 1e-10 * max(1, abs(lp))
 
 
+@pytest.mark.parametrize("ws", [[W2, W2], [W2, WeightSpec.iterated_log(1)]],
+                         ids=["gamma2_squared", "gamma2_iterated_log1"])
+def test_product_eps_is_the_sum_of_the_factors(ws):
+    # log gamma of a product is the sum of the factors' log gamma, so its
+    # eps is the sum of theirs: no central difference of the product
+    from momentsum.weights import eval_eps, moment_weight
+    twin = moment_weight(MultiSumPlan(ws).product_weight())
+    for s in (3.7, 11.0, 145.0):
+        eps = eval_eps(twin, s)
+        want = sum(eval_eps(moment_weight(w), s) for w in ws)
+        assert eps == pytest.approx(want, rel=1e-14)
+        assert eps == pytest.approx(eval_eps(twin, s, force_numeric=True),
+                                    rel=1e-8)
+
+
 class TestShift:
     F = FunctionHandle(lambda t: 1.0 / (1.0 + t) if t >= 0 else 0.0)
 

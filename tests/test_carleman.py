@@ -1,7 +1,10 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,7 @@ from momentsum.carleman import (SequenceM, associated_weight_h,
                                 regular_sequence_facts, stirling_csv,
                                 stirling_numbers)
 from momentsum.errors import NonPositivePoint
-from momentsum.transforms import FunctionHandle
+from momentsum.transforms import FunctionHandle, remainder_Rn
 from momentsum.weights import WeightSpec
 
 W1 = WeightSpec.gamma_power(1.0)
@@ -56,7 +59,7 @@ class TestStirling:
 
     def test_csv_export(self, tmp_path):
         path = stirling_csv(tmp_path / "stirling.csv", 5)
-        rows = open(path).read().splitlines()
+        rows = Path(path).read_text().splitlines()
         assert rows[1] == "n,j,value"
         assert "4,2,7" in rows
 
@@ -111,6 +114,24 @@ class TestRegularity:
         r = check_regularity(M, 60)
         assert r.root_monotone_from is not None and r.root_monotone_from > 1
 
+    def test_first_index_from_which_each_condition_holds(self):
+        # a bump at n < 12 breaks log-convexity up to n = 12 and the root
+        # monotonicity up to n = 10; a persistent wiggle breaks the latter
+        # to the end of the range
+        bump = SequenceM(lambda n: gammaln(n + 1.0)
+                         + (2.0 * math.sin(n) if n < 12 else 0.0))
+        r = check_regularity(bump, 20)
+        assert (r.log_convex_from, r.root_monotone_from) == (13, 11)
+        wiggle = SequenceM(lambda n: 1.5 * gammaln(n + 1.0)
+                           + 0.3 * n * math.sin(n))
+        r = check_regularity(wiggle, 80)
+        assert (r.log_convex_from, r.root_monotone_from) == (79, None)
+        assert not r.regular
+
+    def test_report_serializes(self):
+        r = check_regularity(SequenceM.factorial_power(2.0), 40)
+        assert json.loads(r.to_json())["regular"] is True
+
     @pytest.mark.parametrize("fam,par", [
         ("gamma_power", {"alpha": 1.0}),
         ("log_power", {"alpha": 1.0, "beta": 0.0}),
@@ -131,6 +152,16 @@ class TestDenjoyCarleman:
             SequenceM.factorial_power(2.0)).verdict == "not_quasianalytic"
         assert denjoy_carleman_classify(
             SequenceM.factorial_times_log(1.0)).verdict == "quasianalytic"
+
+    def test_numeric_partial_sums_are_a_running_sum(self):
+        M = SequenceM.factorial_times_log(1.0)
+        got = denjoy_carleman_classify(M, "numeric", 1.5).evidence["partial_sums"]
+        total, want = 0.0, []
+        for n in range(10000):
+            total += math.exp((M.logM(n) - M.logM(n + 1)) * 1.5)
+            if n + 1 in (30, 100, 300, 1000, 3000, 10000):
+                want.append(total)
+        assert got == want
 
     def test_numeric_never_contradicts_symbolic(self):
         for M in (SequenceM.factorial_power(1.0),
@@ -205,6 +236,20 @@ class TestClassFits:
         assert len(calls) == 6 * 5
         assert set(calls.values()) == {1}
 
+    def test_class_D_reads_remainder_Rn(self):
+        # reference: each R_n(z) by transforms.remainder_Rn
+        f = FunctionHandle(lambda x: 1.0 / (1.0 - x),
+                           lambda x, n: math.factorial(n) / (1.0 - x) ** (n + 1))
+        M = SequenceM.factorial_power(1.0)
+        fit = fit_class_constant("D", f, M=M, weight=W1, interval=(0.0, 0.5),
+                                 grid_size=7, n_max=6)
+        zs = [float(z) for z in np.linspace(0.0, 0.5, 7)[1:]]
+        for n, c in fit.per_n.items():
+            best = max((math.log(max(abs(remainder_Rn(f, z, n)), 1e-300))
+                        + gammaln(n + 1.0) - M.logM(n) - W1.moment_log(n)
+                        - n * math.log(z)) / (n + 1) for z in zs)
+            assert c == math.exp(best)
+
     def test_subgrid_shrinks_constant(self):
         f = FunctionHandle(lambda x: 1.0 / (1.0 - x),
                            lambda x, n: math.factorial(n) / (1.0 - x) ** (n + 1))
@@ -255,6 +300,30 @@ class TestRegularFacts:
         M = SequenceM(lambda n: 2 * gammaln(n + 1.0), label="m=n!")
         rf = regular_sequence_facts(M, n_max=120)
         assert not rf.slowly_varying
+
+    @pytest.mark.parametrize("M", [
+        SequenceM.factorial_times_log(2.0),
+        SequenceM.from_moments(WeightSpec.gamma_power(0.5)),
+        SequenceM(lambda n: 1.5 * gammaln(n + 1.0) + 0.3 * n * math.sin(n))],
+        ids=["factorial_times_log2", "moments_gamma05", "wiggle"])
+    @pytest.mark.parametrize("C1,n_max", [(4.0, 20), (2.5, 80)])
+    def test_witnesses_equal_scalar_loops(self, M, C1, n_max):
+        # reference: the witnesses as scalar loops over (k, n); the array
+        # form does the same arithmetic, so the floats are equal
+        lm = [M.logm(n) for n in range(n_max + 1)]
+        v = [lm[n] / n if n else 0.0 for n in range(n_max + 1)]
+        C2 = max(0.0, max((v[k] - lm[1]) / math.log(k)
+                          for k in range(2, n_max + 1)))
+        C3 = max([1.0] + [math.exp(v[n] - v[k]) for k in range(1, n_max + 1)
+                          for n in range(k, min(int(C1 * k), n_max) + 1)])
+
+        def c4(limit):
+            return math.exp(max([0.0] + [((n / k) * lm[k] - lm[n]) / (k + n)
+                                         for k in range(1, limit + 1)
+                                         for n in range(1, limit + 1)]))
+        rf = regular_sequence_facts(M, C1=C1, n_max=n_max)
+        assert (rf.C2, rf.C3, rf.C4, rf.C4_half_range) == \
+            (C2, C3, c4(n_max), c4(n_max // 2))
 
 
 def test_gamma_hat_sequence_of_the_weight_itself():

@@ -250,6 +250,24 @@ def test_verify_kernel_suite_alpha3_passes_quietly():
     assert proc.stderr == ""
 
 
+def test_classes_d_takes_each_laplace_integral_once(capsys, monkeypatch):
+    # f(0), f(z) at the 11 nonzero grid points and f^(k)(0) for k = 1..9:
+    # each remainder R_n(z) reuses them (715 integrals when each R_n(z)
+    # took its own)
+    from momentsum import transforms
+    calls = {"laplace_quadrature": 0, "laplace_derivative_n": 0}
+    for name in calls:
+        def counted(*a, _real=getattr(transforms, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*a, **kw)
+        monkeypatch.setattr(transforms, name, counted)
+    code, out, _ = _run_main(capsys, ["classes", "--class-tag", "D",
+                                      "--weight", "gamma_power:alpha=1",
+                                      "--n-max", "10"])
+    assert code == 0 and json.loads(out.splitlines()[0])["class"] == "D"
+    assert calls == {"laplace_quadrature": 12, "laplace_derivative_n": 9}
+
+
 def test_classes_b_checks_moments_before_the_fit(capsys):
     # log_power(2) has no moment mu_0: the command fails at once with the
     # named error instead of after the class fit

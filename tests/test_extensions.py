@@ -1,5 +1,6 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ class TestNeighborhoods:
     def test_raster_csv(self, tmp_path):
         path = membership_raster_csv(_mk_vset(8), (-0.2, 1.2, -0.3, 0.3),
                                      12, 8, tmp_path / "raster.csv", "cfg")
-        rows = open(path).read().splitlines()
+        rows = Path(path).read_text().splitlines()
         assert rows[1] == "x,y,member"
         assert len(rows) == 2 + 12 * 8
 
@@ -229,10 +230,27 @@ class TestCauchyPompeiu:
     def test_field_csv(self, tmp_path):
         fld = PlanarField.sample(lambda w: w.real, (-1, 1, -1, 1), 4, 3)
         path = fld.to_csv(tmp_path / "field.csv", "note")
-        rows = open(path).read().splitlines()
+        rows = Path(path).read_text().splitlines()
         assert rows[0] == "# note"
         assert rows[1] == "x,y,re,im"
         assert len(rows) == 2 + 12
+
+
+def test_profiles_are_taken_once_per_set(monkeypatch):
+    # Lhat(k) is a golden-section search and depends only on k and the
+    # weight: a raster must not pay one per point
+    from momentsum import extensions
+    calls = []
+    real = extensions.log_L_hat
+    monkeypatch.setattr(extensions, "log_L_hat",
+                        lambda *a: calls.append(a) or real(*a))
+    ns = _mk_vset(8)
+    for z in (0.3, 0.5 + 0.01j, 1.2, -0.1j):
+        ns.contains(z)
+    ns.boundary_points(40)
+    assert len(calls) == 1
+    assert ns.tube_radius() == 1.0 / (2.0 * math.exp(
+        SequenceM.factorial_times_log(1.0).logm(8) / 8))
 
 
 class TestNestingAcrossKinds:

@@ -1,6 +1,7 @@
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,7 +216,7 @@ class TestLemmas:
 def test_probe_csv(tmp_path):
     path = kernel_probe_csv(W1, [0.5, 1.0, 2.0], tmp_path / "probe.csv",
                             "test-config")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0].startswith("#") and "test-config" in lines[0]
     assert lines[2].split(",")[0] == "t"
     row = lines[3].split(",")
@@ -224,7 +225,7 @@ def test_probe_csv(tmp_path):
     # abs_err measures Mellin against the canonical kernel 2 t exp(-t^2),
     # not the textbook exp(-t^2), which is 0.37 away at t = 1.05
     path = kernel_probe_csv(W2, [1.05], tmp_path / "probe2.csv")
-    t, kc, km, _, err = open(path).read().splitlines()[2].split(",")
+    t, kc, km, _, err = Path(path).read_text().splitlines()[2].split(",")
     assert float(kc) == pytest.approx(2 * 1.05 * math.exp(-1.05 ** 2), rel=1e-11)
     assert float(err) < 1e-8
 
@@ -289,7 +290,7 @@ def test_asymptotic_saddle_out_of_reach_is_saddle_failure(tmp_path):
     with pytest.raises(SaddleFailure):
         KernelK(w).asymptotic(20.0)
     path = kernel_probe_csv(w, [20.0], tmp_path / "probe.csv")
-    row = open(path).read().splitlines()[2].split(",")
+    row = Path(path).read_text().splitlines()[2].split(",")
     assert row[3] == "nan"
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ def test_integrand_trace_csv(tmp_path):
     path = tmp_path / "trace.csv"
     laplace_quadrature(RATIONAL_HANDLE, KernelK(W1), 1.0, tol=1e-9,
                        trace_path=path)
-    rows = open(path).read().splitlines()
+    rows = Path(path).read_text().splitlines()
     assert rows[0].startswith("#") and rows[1] == "t,integrand"
     assert len(rows) == 202
     t1, v1 = rows[3].split(",")

@@ -249,6 +249,24 @@ class TestGammaHat:
         diffs = np.diff(logs)
         assert np.all(np.diff(diffs) > -1e-6)
 
+    @pytest.mark.parametrize("alpha,n,twin", [(0.5, 1, False), (0.5, 3, True),
+                                              (0.7, 2, True)])
+    def test_maximum_inside_first_bracket_matches_mpmath(self, alpha, n, twin):
+        # the maximum lies left of the first doubling probe 2 max(lo, 0.5);
+        # the bracket must keep lo as its left end, not jump to the probe
+        mp = pytest.importorskip("mpmath")
+        shift = -1.0 if twin else 0.0
+        w = WeightSpec.gamma_power(alpha)
+        w = moment_weight(w) if twin else w
+
+        def f(r):
+            return n * mp.log(r) + mp.re(mp.loggamma(1 + (1j * r + shift) / alpha))
+
+        r0 = max((0.01 * 1.05 ** k for k in range(200)), key=f)
+        best = f(mp.findroot(lambda r: mp.diff(f, r), r0))
+        assert gamma_hat_numeric(w, n).log_value == pytest.approx(float(best),
+                                                                  abs=1e-9)
+
     def test_perturbation_does_not_increase(self):
         from momentsum.weights import log_abs_gamma_imag
         ent = gamma_hat_numeric(W1, 12)
@@ -324,6 +342,18 @@ class TestGammaHatAcrossFamilies:
     def test_ratio_log_convexity_all_families(self, w):
         logs = [gamma_hat_numeric(w, n).log_value for n in range(5, 81, 5)]
         assert np.all(np.diff(np.diff(logs)) > -1e-6)
+
+
+def test_log_power_with_beta_starts_where_its_formula_is_defined():
+    # log log log s, the beta factor, is undefined on [1.1, e): no NaN
+    # moment may be cached there, and the ray grid starts past e
+    w = WeightSpec.log_power(0.5, 1.0)
+    with pytest.raises(DomainError):
+        w.moment_log(2)
+    assert math.isfinite(w.moment_log(3))
+    lo, cs, _, _ = w.ray
+    assert lo >= math.e + 0.1 and cs[0] >= math.e + 0.1
+    assert WeightSpec.log_power(0.5).min_real == pytest.approx(1.1)
 
 
 def test_gamma_hat_unbounded_sup_raises():
