@@ -347,9 +347,9 @@ def _log_abs(v) -> float:
     return math.log(a) if a > 0 else -math.inf
 
 
-def _per_n(ns, prof) -> dict:
+def _per_n(orders, prof) -> dict:
     """{n: exp(max over the grid)} of a (grid point, n) profile in log scale."""
-    return {int(n): math.exp(b) for n, b in zip(ns, np.max(prof, axis=0))}
+    return {n: math.exp(b) for n, b in zip(orders, np.max(prof, axis=0))}
 
 
 def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
@@ -376,9 +376,10 @@ def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
     if any({"M": M, "N": N, "weight": weight}[k] is None for k in needs):
         raise DomainError(f"class {class_tag} needs {' and '.join(needs)}")
     xs = np.linspace(interval[0], interval[1], grid_size)
-    ns = np.arange(max(n_min, 1) if class_tag == "D" else n_min, n_max + 1)
-    lM = np.array([M.logM(n) for n in ns])
-    lN = np.array([N.logM(n) for n in ns]) if "N" in needs else None
+    orders = range(max(n_min, 1) if class_tag == "D" else n_min, n_max + 1)
+    ns = np.array(orders)
+    lM = np.array([M.logM(n) for n in orders])
+    lN = np.array([N.logM(n) for n in orders]) if "N" in needs else None
     deriv = functools.cache(f.derivative)
     extra = {}
     if class_tag == "D":
@@ -387,13 +388,13 @@ def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
         c0 = [deriv(0.0, k) / math.factorial(k) for k in range(n_max)]
         zs = [float(z) for z in xs if abs(z) > 0]
         lR = np.array([[math.log(max(abs(deriv(z, 0) - _horner(c0[:n], z)),
-                                     1e-300)) for n in ns] for z in zs])
+                                     1e-300)) for n in orders] for z in zs])
         lz = np.array([math.log(abs(z)) for z in zs])
-        lmu = np.array([weight.moment_log(n) for n in ns])
+        lmu = np.array([weight.moment_log(n) for n in orders])
         prof = (lR + gammaln(ns + 1.0) - lM - lmu - ns * lz[:, None]) / (ns + 1)
     else:
         pts = xs[xs > 0] if class_tag == "B" else xs
-        la = np.array([[_log_abs(deriv(x, n)) for n in ns] for x in pts])
+        la = np.array([[_log_abs(deriv(x, n)) for n in orders] for x in pts])
         if class_tag == "A":
             E = EntireE(weight)
             lE = np.array([E.log_eval_real(eta * x / a) for x in pts])
@@ -404,15 +405,17 @@ def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
                 lj = [exp_change_of_variables(
                     "to_log", [deriv(x, j) for j in range(n_max + 1)], x)
                     for x in pts]
-                r2 = np.array([[math.log(max(abs(g[n]), 1e-300)) for n in ns]
-                               for g in lj]) - ns * math.log(eta) - lN
-                extra = {"cond1": _per_n(ns, r1), "cond2": _per_n(ns, r2)}
+                ll = np.array([[math.log(max(abs(g[n]), 1e-300))
+                                for n in orders] for g in lj])
+                r2 = ll - ns * math.log(eta) - lN
+                extra = {"cond1": _per_n(orders, r1),
+                         "cond2": _per_n(orders, r2)}
             else:
                 # the envelope is a min, so C must satisfy both branches
                 lx = np.array([math.log(max(abs(x), 1e-300)) for x in pts])
                 r2 = la - (ns * math.log(mu) + lN - ns * lx[:, None])
             prof = np.maximum(r1, r2)
-    per_n = _per_n(ns, prof)
+    per_n = _per_n(orders, prof)
     C = max(per_n.values())
     return ClassFit(class_tag, C, per_n,
                     {"interval": list(interval), "grid_size": grid_size,
