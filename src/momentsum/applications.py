@@ -4,6 +4,7 @@ operator equations."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,6 +90,29 @@ def factor_weight_sequence(M: SequenceM, k: int, n_max: int = 60):
 # multi-summability
 # ---------------------------------------------------------------------------
 
+_PRODUCT_WEIGHTS = 8     # product weights kept, each with its kernel table
+
+
+@functools.lru_cache(maxsize=_PRODUCT_WEIGHTS)
+def _product_weight(ws: tuple) -> WeightSpec:
+    """The custom weight with log gamma the sum of the factors'.  Cached:
+    plans with equal stage weights share one instance, and with it the
+    product's moment cache and kernel table."""
+    def ev(s):
+        return sum(w.log_gamma(s) for w in ws)
+
+    label = "*".join(w.describe() for w in ws)
+    # every factor checks its own sector, so the product is evaluable
+    # on the ray only right of each factor's sector vertex too
+    min_real = max(max(w.min_real, -w.shift_c) for w in ws)
+    # log gamma is the sum of the factors', so eps is too
+    return WeightSpec.custom(ev, min_real=min_real,
+                             eps=lambda s: sum(eval_eps(w, s) for w in ws),
+                             rho0=max(w.rho0 for w in ws),
+                             complex_capable=all(w.complex_capable for w in ws),
+                             label=f"product({label})")
+
+
 @dataclass
 class MultiSumPlan:
     """Weights of f = L_{gamma_k} ... L_{gamma_1} B_{gamma_1...gamma_k} f."""
@@ -103,23 +127,10 @@ class MultiSumPlan:
             raise DomainError("plan needs at least one weight")
 
     def product_weight(self) -> WeightSpec:
-        ws = list(self.weights)
-        if len(ws) == 1:
-            return ws[0]
-
-        def ev(s):
-            return sum(w.log_gamma(s) for w in ws)
-
-        label = "*".join(w.describe() for w in ws)
-        # every factor checks its own sector, so the product is evaluable
-        # on the ray only right of each factor's sector vertex too
-        min_real = max(max(w.min_real, -w.shift_c) for w in ws)
-        # log gamma is the sum of the factors', so eps is too
-        return WeightSpec.custom(ev, min_real=min_real,
-                                 eps=lambda s: sum(eval_eps(w, s) for w in ws),
-                                 rho0=max(w.rho0 for w in ws),
-                                 complex_capable=all(w.complex_capable for w in ws),
-                                 label=f"product({label})")
+        """The weight whose moments are the products of the stages'; one
+        shared instance per tuple of stage weights (``_product_weight``)."""
+        ws = tuple(self.weights)
+        return ws[0] if len(ws) == 1 else _product_weight(ws)
 
     def to_json(self) -> str:
         import json

@@ -36,8 +36,10 @@ from .weights import (LOG_FLOAT_MAX, L_inverse, WeightSpec,
 _EPS = np.finfo(float).eps
 _LOG_TINY = -750.0           # exp() of anything below is 0 in floats
 _MELLIN_SAMPLES = 1 << 16    # samples per half line before Mellin gives up
+_STALL_SAMPLES = 1 << 10     # from here a halving must shrink the change
 _LOG_TERM_MAX = math.log(1e306)  # largest E series term summed in floats
 _HEAD_TERMS = 256            # log moments each EntireE computes once
+_UNION_TERMS = 1 << 20       # (nodes x terms) of one array window of E
 _FLAT_TOL = 0.25             # |tail slope| below which Omega membership is inconclusive
 
 
@@ -138,12 +140,21 @@ class EntireE:
         raise TruncationError(f"more than {self.n_cap} series terms within "
                               f"60 nats of the peak at x={x:.3g}")
 
-    def series(self, z) -> complex:
+    def series(self, z):
         """E(z) summed over the window of ``log_series_real`` at |z|: the
         terms z^n / mu_n have the moduli of the real terms at |z|, so the
         same 60-nat ends certify the tail.  Real z sums real terms.
         TruncationError where the largest term exceeds 1e306 (use
-        ``log_eval_real``) or the window exceeds ``n_cap`` terms."""
+        ``log_eval_real``) or the window exceeds ``n_cap`` terms.
+
+        A real array of z >= 0 gives a float array (``_series_ray``); other
+        arrays raise TypeError."""
+        if isinstance(z, np.ndarray):
+            value = self._series_ray(z)
+            if np.isinf(value).any():
+                raise TruncationError("series terms overflow; use "
+                                      "log_eval_real")
+            return value
         z = complex(z)
         r = abs(z)
         if r == 0.0:
@@ -161,6 +172,47 @@ class EntireE:
             if cmath.isfinite(value):
                 return value
         raise TruncationError("series terms overflow; use log_eval_real")
+
+    def _series_ray(self, z):
+        """E on an array of real z >= 0, inf where ``series`` raises
+        TruncationError, over one window of terms for a group of nodes: from
+        the first term of the smallest node's window to the last of the
+        largest's.  The log terms are concave in n and their peak moves
+        right with x, so that range holds every node's window, and the terms
+        outside a node's own window lie more than 60 nats below its largest.
+        A group splits in two where its largest node's terms overflow or its
+        (nodes x terms) matrix would exceed _UNION_TERMS entries."""
+        if np.iscomplexobj(z) or not (z >= 0).all():
+            raise TypeError("EntireE.series takes a number or a real array "
+                            "of z >= 0")
+        flat = z.ravel()
+        order = np.argsort(flat)
+        xs = flat[order]
+        out = np.full(len(xs), math.inf)
+        start = int(np.searchsorted(xs, 0.0, side="right"))
+        out[:start] = math.exp(-self.weight.moment_log(0))
+        groups = [(start, len(xs))] if start < len(xs) else []
+        while groups:
+            i, j = groups.pop()
+            try:
+                ns, logs = self._window(xs[j - 1])
+                first, last = self._window(xs[i])[0][0], ns[-1]
+                fits = logs.max() <= _LOG_TERM_MAX and \
+                    (j - i) * (last - first + 1) <= _UNION_TERMS
+            except TruncationError:
+                fits = False
+            if not fits:
+                groups += [(i + (j - i) // 2, j), (i, i + (j - i) // 2)] \
+                    if j - i > 1 else []
+                continue
+            ns = np.arange(first, last + 1)
+            logs = np.log(xs[i:j])[:, None] * ns - self._log_moments(ns)
+            top = logs.max(axis=1)
+            with np.errstate(over="ignore"):
+                out[i:j] = np.exp(top) * np.exp(logs - top[:, None]).sum(1)
+        value = np.empty(len(xs))
+        value[order] = out
+        return value.reshape(z.shape)
 
     def log_series_real(self, x: float) -> float:
         """log E(x) for real x >= 0: a log-sum-exp over the window of terms
@@ -186,10 +238,22 @@ class EntireE:
                 raise
             return getattr(a, attr)
 
-    def eval(self, z) -> complex:
+    def eval(self, z):
+        """E(z) for a number, or for a real array of z >= 0 (``series``;
+        the nodes where it overflows or truncates are taken one by one)."""
         if self._closed is not None:
+            if isinstance(z, np.ndarray):
+                return self._closed(z.astype(complex))
             return complex(self._closed(complex(z)))
-        return self._fallback(z, self.series, "value")
+        if not isinstance(z, np.ndarray):
+            return self._fallback(z, self.series, "value")
+        try:
+            return self.series(z)
+        except TruncationError:
+            value = self._series_ray(z)
+        over = np.isinf(value)
+        value[over] = [np.real(self.eval(v)) for v in z[over].tolist()]
+        return value
 
     def log_eval_real(self, x: float) -> float:
         if self._log_closed is not None:
@@ -451,7 +515,7 @@ class KernelK:
             # a row is done once its result lies below exp(log_floor)
             small = per_row(np.exp(log_floor - phi0.real)).tolist()
             vals = pairs(y, lg[1:])
-            kept = None
+            kept, last = None, math.inf
             while True:
                 # per row: the sums over even and odd samples (the odd
                 # ones, y = 2h, 4h, ..., make the coarse sum) and of |.|
@@ -461,6 +525,7 @@ class KernelK:
                            np.add.reduceat(size, [0, 3 * n // 4], axis=1).tolist(),
                            small, zero)
                 total, mass, err, wide, done = [], [], [], False, True
+                moved = 0.0   # the largest change of a row under test not done
                 # the rows under test: j = 0 first, then j > 0
                 first = kept is None
                 for j, ((s_even, s_odd), (s_in, s_out), lim, z0) in \
@@ -474,13 +539,15 @@ class KernelK:
                     if (j % k == 0) == first:
                         scale = max(abs(tot), 1e-3 * mas)
                         wide = wide or h * s_out > 1e-3 * tol * scale
-                        done = done and (e <= tol * scale or mas < lim)
+                        if not (e <= tol * scale or mas < lim):
+                            done, moved = False, max(moved, e)
                     total.append(tot), mass.append(mas), err.append(e)
                 if first and k > 1 and done and not wide:
                     # the j = 0 rows pass: keep their sums, test j > 0
-                    kept = total, mass, err
+                    kept, last = (total, mass, err), math.inf
                     continue
                 if wide:
+                    last = math.inf
                     if n >= _MELLIN_SAMPLES:
                         raise DecayTooSlow("Mellin integrand has not decayed "
                                            f"by |y|={h * n:.3g}")
@@ -490,9 +557,11 @@ class KernelK:
                     continue
                 if done:
                     break
-                if n >= _MELLIN_SAMPLES:
+                if n >= _MELLIN_SAMPLES or (n >= _STALL_SAMPLES
+                                            and moved >= last):
                     raise QuadratureStall(f"Mellin sum at step {h:.3g} still "
-                                          f"moves by {max(err):.2e}")
+                                          f"moves by {moved:.2e}")
+                last = moved
                 fine = np.empty((len(vals), 2 * n), dtype=vals.dtype)
                 fine[:, 0::2] = pairs(h * (np.arange(n) + 0.5))
                 fine[:, 1::2] = vals

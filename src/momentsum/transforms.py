@@ -11,6 +11,7 @@ the Borel transform for functions analytic near the ray.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import warnings
@@ -22,7 +23,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import (DegenerateDenominator, DerivativeUnavailable, DomainError,
-                     IncompatibleGrowth, PoleOnRayWarning, QuadratureStall)
+                     IncompatibleGrowth, MomentSumError, PoleOnRayWarning,
+                     QuadratureStall)
 from .kernels import EntireE, KernelK
 from .weights import L_inverse, WeightSpec, log_L_hat
 
@@ -358,6 +360,8 @@ def _growth_limit(F: FunctionHandle, K: KernelK) -> float:
 _DE_STEP = 0.5          # the first step in u
 _DE_FLOOR = 1e-3        # ends: terms below this fraction of tol * peak
 _DE_MAX_NODES = 1 << 14
+_K_CHUNK = 8            # lattice nodes per Mellin fill of the kernel table
+_K_T_MIN = 1e-300       # lattice nodes with t at or below join no fill
 
 
 def _de_nodes(u):
@@ -366,6 +370,49 @@ def _de_nodes(u):
     e = np.exp(-u)
     t = np.exp(u - e)
     return t, t * (1.0 + e)
+
+
+def _lattice_u(level, ms):
+    """u of the lattice nodes ms of a DE level: m * 0.5 on level 0, the odd
+    multiples (2m + 1) 0.5 / 2^level that each halving adds after."""
+    if level == 0:
+        return ms * _DE_STEP
+    return (2 * ms + 1) * (_DE_STEP / 2 ** level)
+
+
+def _lattice_kernel(K: KernelK, level: int, ms):
+    """(K, errK) arrays at the lattice nodes ms of a DE level, read from the
+    weight's kernel table (``WeightSpec.tabulated_kernel``).
+
+    A missing node is filled with the aligned chunk of _K_CHUNK lattice
+    nodes it lies in, those with t > 1e-300, in one ``mellin`` call.  The
+    chunk depends on the node alone, so a value never depends on which sum
+    asked first.  The asked nodes of a chunk whose call raises, and asked
+    nodes at t <= 1e-300, are filled one per call.
+    """
+    tol = K.mellin_tol
+
+    def mellin_at(nodes):
+        v, e = K.mellin(_de_nodes(_lattice_u(level, nodes))[0])
+        return {(tol, level, m): (kv, ke) for m, kv, ke in
+                zip(nodes.tolist(), v.tolist(), e.tolist())}
+
+    def fill(missing):
+        new = {}
+        for c in sorted({m // _K_CHUNK for *_, m in missing}):
+            chunk = np.arange(c * _K_CHUNK, (c + 1) * _K_CHUNK)
+            chunk = chunk[_de_nodes(_lattice_u(level, chunk))[0] > _K_T_MIN]
+            if len(chunk):
+                with contextlib.suppress(MomentSumError):
+                    new.update(mellin_at(chunk))
+        for key in missing:
+            if key not in new:
+                new.update(mellin_at(np.array(key[2:])))
+        return new
+
+    got = K.weight.tabulated_kernel(
+        [(tol, level, m) for m in ms.tolist()], fill)
+    return np.array(got).T
 
 
 def _real_on(fn, ts):
@@ -389,8 +436,9 @@ def _de_integrate(g, tol: float, t_cap: float):
     """int_0^inf g(t) dt by the trapezoidal rule in u, t = exp(u - e^-u)
     (Takahashi & Mori 1974), level by level on node arrays.
 
-    ``g(ts)`` returns the integrand and its absolute error on an ascending
-    node array.  The first level, step 0.5, walks each end outward until
+    ``g(ts, (level, ms))`` returns the integrand and its absolute error on
+    an ascending node array, the nodes ms of a DE level (``_lattice_u``).
+    The first level, step 0.5, walks each end outward until
     two consecutive terms lie below 1e-3 tol of the peak term (the right
     end raises QuadratureStall past ``t_cap``).  Each next level halves the
     step on the same range, until one halving moves the sum by at most
@@ -402,7 +450,7 @@ def _de_integrate(g, tol: float, t_cap: float):
     h = _DE_STEP
     ks = np.arange(-4, 7)                  # u in [-2, 3]: t in [8e-5, 19]
     ts, ws = _de_nodes(ks * h)
-    gv, ge = g(ts)
+    gv, ge = g(ts, (0, ks))
     while True:
         terms = np.abs(gv * ws)
         finite = np.isfinite(terms)
@@ -426,7 +474,7 @@ def _de_integrate(g, tol: float, t_cap: float):
             break
         new = np.array(grow)
         nt, nw = _de_nodes(new * h)
-        nv, ne = g(nt)
+        nv, ne = g(nt, (0, new))
         ks, ts, ws, gv, ge = (np.concatenate(p) for p in zip(
             (ks, ts, ws, gv, ge), (new, nt, nw, nv, ne)))
         order = np.argsort(ks)
@@ -434,8 +482,7 @@ def _de_integrate(g, tol: float, t_cap: float):
     keep = slice(top - lo, top + hi + 1)
     ks, ws, gv, ge = ks[keep], ws[keep], gv[keep], ge[keep]
     nodes = len(ts)
-    u_lo, u_hi = ks[0] * h, ks[-1] * h
-    T = float(_de_nodes(u_hi)[0])
+    T = float(_de_nodes(ks[-1] * h)[0])
     if T > t_cap:
         raise QuadratureStall(f"integrand did not decay below tolerance by "
                               f"t_cap={t_cap:.3g}")
@@ -443,12 +490,14 @@ def _de_integrate(g, tol: float, t_cap: float):
     total = h * float(np.sum(gv * ws))
     mass = h * float(np.sum(np.abs(gv * ws)))
     node_err = h * float(np.sum(ge * ws))
+    level = 0
     while True:
-        u = np.arange(u_lo + h / 2, u_hi, h)
+        level += 1
+        ms = np.arange(ks[0] * 2 ** (level - 1), ks[-1] * 2 ** (level - 1))
         h /= 2
-        ts, ws = _de_nodes(u)
-        gv, ge = g(ts)
-        nodes += len(u)
+        ts, ws = _de_nodes(_lattice_u(level, ms))
+        gv, ge = g(ts, (level, ms))
+        nodes += len(ms)
         if not np.all(np.isfinite(gv)):
             raise QuadratureStall("integrand not finite inside the range")
         coarse = total
@@ -478,15 +527,19 @@ def _decayed(small, finite):
 
 
 def _integrand(F: FunctionHandle, K: KernelK, x: float, n: int = 0):
-    """g(ts) = F^(n)(x t) t^n K(t) on a node array, with its error
-    |F^(n)(x t)| t^n errK(t) from Mellin's per-node error."""
-    def g(ts):
+    """g(ts, at) = F^(n)(x t) t^n K(t) on a node array, with its error
+    |F^(n)(x t)| t^n errK(t) from Mellin's per-node error.  A Mellin K is
+    read from the weight's kernel table at the lattice nodes ``at`` =
+    (level, ms), and is summed afresh without them."""
+    def g(ts, at=None):
         with np.errstate(all="ignore"):
             Fv = _real_on(lambda s: F.derivative(s, n), x * ts)
             if K.exact:
                 Kv, Ke = np.real(K.eval(ts)), 0.0
-            else:
+            elif at is None:
                 Kv, Ke = K.mellin(ts)
+            else:
+                Kv, Ke = _lattice_kernel(K, *at)
             tn = ts ** n
             return Fv * tn * Kv, np.abs(Fv) * tn * Ke
     return g

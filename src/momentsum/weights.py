@@ -46,6 +46,8 @@ _GHAT_RHO_FLOOR = 1e-6    # smallest rho the gamma-hat search probes
 # ray grid offsets 10^(k/3 - 3): 195 points to 4.6e61, past every family's
 # saddle-search start times 2^200
 _RAY_OFFSETS = 10.0 ** np.arange(-3.0, 62.0, 1.0 / 3.0)
+# kernel table entries per weight (the DE rule's node cap): ~3 MB at the cap
+_KERNEL_TABLE_MAX = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +336,8 @@ class WeightSpec:
                           repr=False)
     _moment_cache: dict = field(default_factory=dict, init=False,
                                 compare=False, repr=False)
+    _kernel_table: dict = field(default_factory=dict, init=False,
+                                compare=False, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                   compare=False, repr=False)
 
@@ -494,6 +498,26 @@ class WeightSpec:
                         f"{self.family} (min arg {self.min_real:.3g})")
                 self._moment_cache[n] = float(np.real(self.log_gamma(n)))
             return self._moment_cache[n]
+
+    def tabulated_kernel(self, keys, fill) -> list:
+        """The kernel table's (K, errK) at ``keys``: K and its error at nodes
+        of the Laplace rule's lattice, keyed (mellin_tol, DE level, lattice
+        index).  ``fill(missing)`` returns a dict of entries that covers the
+        missing keys (and may hold more); they are stored under the lock
+        while the table holds fewer than _KERNEL_TABLE_MAX entries, and
+        returned either way."""
+        table = self._kernel_table
+        got = [table.get(k) for k in keys]
+        missing = [k for k, v in zip(keys, got) if v is None]
+        if not missing:
+            return got
+        new = fill(missing)
+        with self._lock:
+            for k, v in new.items():
+                if len(table) >= _KERNEL_TABLE_MAX:
+                    break
+                table.setdefault(k, v)
+        return [new[k] if v is None else v for k, v in zip(keys, got)]
 
     @cached_property
     def ray(self) -> tuple:

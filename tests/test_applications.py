@@ -359,3 +359,13 @@ def test_collapsed_multisum_reproduces_polynomials(name, monkeypatch):
             assert err <= 1e-12 * max(1.0, abs(a.eval(x)))
             assert err <= r.abs_error_estimate
     assert len(calls) == len(cases)
+
+
+def test_plans_share_one_product_weight():
+    # equal stage weights give the one product instance, so its moment
+    # cache and kernel table carry over from plan to plan
+    wp = MultiSumPlan([W2, W2]).product_weight()
+    assert MultiSumPlan([WeightSpec.gamma_power(2.0), W2],
+                        continuation="poly").product_weight() is wp
+    assert MultiSumPlan([W2, W2, W2]).product_weight() is not wp
+    assert MultiSumPlan([W2]).product_weight() is W2

@@ -362,6 +362,47 @@ def test_series_window_against_mpmath(alpha, z, rel):
     assert abs(got - want) <= rel * abs(want)
 
 
+@pytest.mark.parametrize("w", [WeightSpec.gamma_power(3.0),
+                               WeightSpec.gamma_power(0.5),
+                               WeightSpec.iterated_log(1)],
+                         ids=lambda w: w.describe())
+def test_series_on_a_node_array_matches_the_scalar_calls(w):
+    # one window over all nodes: every node's own window lies inside it,
+    # and the terms outside lie 60 nats below the node's largest
+    E = EntireE(w)
+    xs = np.concatenate(([0.0], np.geomspace(1e-6, 8.0, 41), [0.7, 0.0]))
+    got = E.series(xs)
+    assert got.dtype == float and got.shape == xs.shape
+    want = np.array([E.series(float(x)).real for x in xs])
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    assert np.array_equal(E.eval(xs), got)
+    grid = E.series(xs.reshape(2, -1))
+    assert grid.shape == (2, len(xs) // 2)
+    assert np.array_equal(grid.ravel(), got)
+
+
+def test_series_arrays_outside_the_ray_are_rejected():
+    # complex and negative arrays keep raising TypeError, so the Laplace
+    # rule maps such a handle point by point
+    E = EntireE(WeightSpec.gamma_power(3.0))
+    for z in (np.array([0.5, -0.5]), np.array([0.5 + 0.1j])):
+        for call in (E.series, E.eval):
+            with pytest.raises(TypeError):
+                call(z)
+
+
+def test_eval_on_an_array_takes_overflowing_nodes_one_by_one():
+    # past the nodes whose terms overflow, eval answers as the scalar
+    # calls do (the saddle branch), series raises TruncationError
+    E = EntireE(WeightSpec.gamma_power(3.0))
+    xs = np.array([2.0, 9.0, 12.0])
+    with pytest.raises(TruncationError):
+        E.series(xs)
+    got = E.eval(xs)
+    assert got[0] == pytest.approx(E.eval(2.0).real, rel=1e-15)
+    assert got[1:].tolist() == [E.eval(x).real for x in (9.0, 12.0)]
+
+
 def test_series_on_the_negative_axis_is_real():
     E = EntireE(WeightSpec.gamma_power(3.0))
     assert E.series(-0.8).imag == 0.0
@@ -508,7 +549,16 @@ def test_K1_deriv_without_a_saddle_is_named():
     # the 2^16-sample cap with a named error, not widen the window forever
     import time
     from momentsum.errors import MomentSumError
+    import tracemalloc
     t0 = time.perf_counter()
-    with pytest.raises(MomentSumError):
-        verify_kernel_lemma("K1_deriv", WeightSpec.loglog_power(1.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MomentSumError):
+            verify_kernel_lemma("K1_deriv", WeightSpec.loglog_power(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert time.perf_counter() - t0 < 20.0
+    # a halving past 2^10 samples that does not shrink the change stops
+    # the sums before their sample matrices grow
+    assert peak < 50e6

@@ -384,3 +384,138 @@ def test_de_rule_non_finite_term_is_a_named_stall():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureStall):
             laplace_quadrature(bad, KernelK(W1), 1.0, tol=1e-10)
+
+
+# -- the kernel table: K once per (weight, DE lattice node) -------------------
+
+QUARTIC = FormalSeries(tuple(Fraction(c) for c in (1, -2, 3, 0, 1)))
+SWEEP_X = np.linspace(0.2, 2.0, 10).tolist()
+
+
+def _anchored_sweep(w, xs):
+    return [moment_sum(QUARTIC, w, x, continuation="poly").value.hex()
+            for x in xs]
+
+
+def _count_mellin(monkeypatch):
+    calls = []
+    mellin = KernelK.mellin
+
+    def counted(self, t, tol=None):
+        calls.append(np.size(t))
+        return mellin(self, t, tol)
+    monkeypatch.setattr(KernelK, "mellin", counted)
+    return calls
+
+
+def test_kernel_table_sums_do_not_depend_on_call_history():
+    # each node's K comes from a fill of its own aligned lattice chunk, so
+    # a sweep gives the same bits forward, reversed and in a cold process
+    import subprocess
+    import sys
+    w = WeightSpec.log_power(1.0, arg_shift=2)
+    forward = _anchored_sweep(w, SWEEP_X)
+    assert _anchored_sweep(w, SWEEP_X[::-1]) == forward[::-1]
+    code = ("from fractions import Fraction\n"
+            "from momentsum import FormalSeries, WeightSpec, moment_sum\n"
+            "q = FormalSeries(tuple(Fraction(c) for c in (1, -2, 3, 0, 1)))\n"
+            "w = WeightSpec.log_power(1.0, arg_shift=2)\n"
+            f"for x in {SWEEP_X[::-1]!r}:\n"
+            "    print(moment_sum(q, w, x, continuation='poly').value.hex())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == forward[::-1]
+    for x, v in zip(SWEEP_X, forward):
+        assert float.fromhex(v) == pytest.approx(QUARTIC.eval(x), rel=1e-12)
+
+
+def test_repeated_anchored_sum_makes_no_mellin_calls(monkeypatch):
+    w = WeightSpec.log_power(1.0, arg_shift=2)
+    calls = _count_mellin(monkeypatch)
+    first = moment_sum(QUARTIC, w, 1.0, continuation="poly")
+    assert calls and first.value == pytest.approx(3.0, rel=1e-12)
+    calls.clear()
+    again = moment_sum(QUARTIC, w, 1.0, continuation="poly")
+    assert calls == [] and again.value == first.value
+
+
+def test_kernel_table_is_keyed_by_mellin_tol(monkeypatch):
+    # a kernel at 1e-6 never reads the entries filled at 1e-10: it fills
+    # its own, and sums as on a weight that never saw 1e-10
+    F = FunctionHandle.from_series_eval(QUARTIC)
+    w = WeightSpec.log_power(1.0, arg_shift=2)
+    laplace_quadrature(F, KernelK(w), 1.0)
+    calls = _count_mellin(monkeypatch)
+    coarse = laplace_quadrature(F, KernelK(w, mellin_tol=1e-6), 1.0)
+    assert calls
+    assert {key[0] for key in w._kernel_table} == {1e-10, 1e-6}
+    fresh = WeightSpec.log_power(1.0, arg_shift=2)
+    assert laplace_quadrature(F, KernelK(fresh, mellin_tol=1e-6), 1.0).value \
+        == coarse.value
+
+
+def test_kernel_table_stops_at_its_cap(monkeypatch):
+    # past the cap nodes are filled as before but not kept: the values
+    # are those of an uncapped table
+    from momentsum import weights
+    F = FunctionHandle.from_series_eval(QUARTIC)
+    full = laplace_quadrature(
+        F, KernelK(WeightSpec.log_power(1.0, arg_shift=2)), 1.0).value
+    monkeypatch.setattr(weights, "_KERNEL_TABLE_MAX", 20)
+    w = WeightSpec.log_power(1.0, arg_shift=2)
+    K = KernelK(w)
+    assert laplace_quadrature(F, K, 1.0).value == full
+    assert len(w._kernel_table) == 20
+    assert laplace_quadrature(F, K, 1.0).value == full
+    assert len(w._kernel_table) == 20
+
+
+def test_kernel_table_fills_alone_the_nodes_of_a_failing_chunk(monkeypatch):
+    # where a chunk's Mellin call raises (a member the sum did not ask for
+    # may fail), the asked nodes are filled one per call and the sum
+    # passes, within the Mellin tolerance of the chunked fill
+    from momentsum.errors import DecayTooSlow
+    K = KernelK(WeightSpec.iterated_log(1))
+    want = laplace_quadrature(RATIONAL_HANDLE, K, 0.5)
+    mellin = KernelK.mellin
+
+    def no_chunks(self, t, tol=None):
+        if np.size(t) > 1:
+            raise DecayTooSlow("a chunk member fails")
+        return mellin(self, t, tol)
+    monkeypatch.setattr(KernelK, "mellin", no_chunks)
+    w = WeightSpec.iterated_log(1)
+    got = laplace_quadrature(RATIONAL_HANDLE, KernelK(w), 0.5)
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    assert len(w._kernel_table) == got.panels
+
+
+def test_kernel_table_filled_from_threads_matches_one_thread():
+    # threads summing against one weight at once fill its table with the
+    # entries, and get the values, of a run in one thread
+    import sys
+    import threading
+    xs = [0.3, 0.6, 0.9, 1.2, 1.5, 1.8]
+    alone = WeightSpec.iterated_log(1)
+    want = [laplace_quadrature(RATIONAL_HANDLE, KernelK(alone), x).value
+            for x in xs]
+    w = WeightSpec.iterated_log(1)
+    got = [None] * len(xs)
+
+    def run(i):
+        got[i] = laplace_quadrature(RATIONAL_HANDLE, KernelK(w), xs[i]).value
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(xs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+    assert w._kernel_table == alone._kernel_table
