@@ -397,7 +397,7 @@ def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
         la = np.array([[_log_abs(deriv(x, n)) for n in orders] for x in pts])
         if class_tag == "A":
             E = EntireE(weight)
-            lE = np.array([E.log_eval_real(eta * x / a) for x in pts])
+            lE = E.log_eval_real(eta * pts / a)
             prof = (la - lM - lE[:, None]) / (ns + 1)
         else:
             r1 = (la - lM) / (ns + 1)

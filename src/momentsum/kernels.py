@@ -18,7 +18,6 @@ up once, at construction.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -59,34 +58,36 @@ class EAsymptotic:
 class EntireE:
     """E(z) = sum_{n>=0} z^n / mu_n with certified truncation.
 
-    The series is summed over one window of terms around the largest
-    (``_window``), shared by ``series`` and ``log_series_real``; closed forms
-    are used when the weight declares one (exp for the classical weight,
-    the Mittag-Leffler/erfcx form at alpha = 2, a custom ``entire`` hook).
-    Very large positive-real arguments are handled in log scale.
+    One window sum of the terms around the largest (``_sums``) answers
+    ``series``, ``eval``, ``log_series_real`` and ``log_eval_real`` for a
+    number or an array of any z; closed forms are used when the weight
+    declares one (exp for the classical weight, the Mittag-Leffler/erfcx
+    form at alpha = 2, a custom ``entire`` hook).  Where the sum would need
+    more than ``n_cap`` terms or a term above 1e306, ``eval`` and
+    ``log_eval_real`` take the saddle branch (``asymptotic``).
     """
 
-    def __init__(self, weight: WeightSpec, n_cap: int = 100_000,
-                 auto_asymptotic: bool = True):
+    def __init__(self, weight: WeightSpec, n_cap: int = 100_000):
         self.weight = weight
         self.n_cap = n_cap
-        self.auto_asymptotic = auto_asymptotic
         self._mw = moment_weight(weight)
-        self._closed = weight.closed("entire")
-        self._log_closed = weight.closed("log_entire_real")
+        closed = weight.closed("entire")
+        self._closed = closed and _array_or_pointwise(closed)
+        log_closed = weight.closed("log_entire_real")
+        self._log_closed = log_closed and _array_or_pointwise(log_closed)
         self._head = None
 
-    def _log_moments(self, ns):
-        """log mu_n for an ascending integer array ns >= 0 in one weight
-        call.  log mu_n for n < _HEAD_TERMS is computed once per instance:
-        the windows of small and moderate x lie there, and a weight call
-        costs more than its points."""
-        if ns[-1] < _HEAD_TERMS:
+    def _log_moments(self, first, stop):
+        """log mu_n for first <= n < stop in one weight call.  log mu_n for
+        n < _HEAD_TERMS is computed once per instance: the windows of small
+        and moderate x lie there, and a weight call costs more than its
+        points."""
+        if stop <= _HEAD_TERMS:
             if self._head is None:
                 self._head = np.real(self.weight.log_gamma(
                     np.arange(_HEAD_TERMS, dtype=float)))
-            return self._head[ns]
-        return np.real(self.weight.log_gamma(ns.astype(float)))
+            return self._head[first:stop]
+        return np.real(self.weight.log_gamma(np.arange(first, stop, dtype=float)))
 
     def _window(self, x: float):
         """(ns, log terms n log x - log mu_n) over the terms within 60 nats
@@ -102,7 +103,7 @@ class EntireE:
 
         def probe(n):
             # (increment of the log term past n >= 1, chunk width at n)
-            lm0, lm1, lm2 = self._log_moments(np.arange(n - 1, n + 2)).tolist()
+            lm0, lm1, lm2 = self._log_moments(n - 1, n + 2).tolist()
             curv = lm0 - 2 * lm1 + lm2
             width = int(12.0 / math.sqrt(curv)) + 16 if curv > 0 else math.inf
             return lx - (lm2 - lm1), width
@@ -125,140 +126,142 @@ class EntireE:
         if 2 * chunk >= self.n_cap:
             raise TruncationError(f"series peak beyond reach at x={x:.3g}")
         first, last = max(peak - chunk, 0), peak + chunk
-        ns = np.arange(first, last + 1)
-        logs = ns * lx - self._log_moments(ns)
-        while len(logs) <= self.n_cap:
+        while last - first < self.n_cap:
+            ns = np.arange(first, last + 1)
+            logs = ns * lx - self._log_moments(first, last + 1)
             top = logs.max()
             lo = max(first - chunk, 0) if logs[0] > top - 60.0 else first
             hi = last + chunk if logs[-1] > top - 60.0 else last
             if (lo, hi) == (first, last):
-                return np.arange(first, last + 1), logs
-            ns = np.concatenate((np.arange(lo, first), np.arange(last + 1, hi + 1)))
-            new = ns * lx - self._log_moments(ns)
-            logs = np.concatenate((new[:first - lo], logs, new[first - lo:]))
+                return ns, logs
             first, last = lo, hi
         raise TruncationError(f"more than {self.n_cap} series terms within "
                               f"60 nats of the peak at x={x:.3g}")
 
-    def series(self, z):
-        """E(z) summed over the window of ``log_series_real`` at |z|: the
-        terms z^n / mu_n have the moduli of the real terms at |z|, so the
-        same 60-nat ends certify the tail.  Real z sums real terms.
-        TruncationError where the largest term exceeds 1e306 (use
-        ``log_eval_real``) or the window exceeds ``n_cap`` terms.
+    def _sums(self, z, log_max):
+        """(top, S) for a flat array z of any numbers: E(z) = e^top S, S
+        summed over the terms within 60 nats of the largest, e^top, at |z|
+        (``_window``); real z sums real terms (signs (-1)^n where z < 0),
+        complex z the terms times e^(i n arg z).  NaN past ``n_cap`` terms or
+        where the largest term exceeds e^log_max: the tail of the sorted |z|,
+        found with one bisection.  In the order of |z| the log terms' peak
+        moves right, so a group of nodes sums one range of terms, from the
+        first of the smallest node's window to the last of the largest's;
+        the terms outside a node's own window lie 60 nats below its largest.
+        A group splits in two past _UNION_TERMS (nodes x terms) entries.
+        """
+        r = np.abs(z)
+        order = np.argsort(r, kind="stable")
+        rs = r[order].tolist()
+        windows = {}
 
-        A real array of z >= 0 gives a float array (``_series_ray``); other
-        arrays raise TypeError."""
-        if isinstance(z, np.ndarray):
-            value = self._series_ray(z)
-            if np.isinf(value).any():
-                raise TruncationError("series terms overflow; use "
-                                      "log_eval_real")
-            return value
-        z = complex(z)
-        r = abs(z)
-        if r == 0.0:
-            return complex(math.exp(-self.weight.moment_log(0)))
-        ns, logs = self._window(r)
-        top = logs.max()
-        if z.imag == 0.0:
-            terms = np.exp(logs - top)
-            if z.real < 0:
-                terms[ns % 2 == 1] *= -1.0
-        else:
-            terms = np.exp(logs - top + 1j * math.atan2(z.imag, z.real) * ns)
-        if top <= _LOG_TERM_MAX:
-            value = math.exp(top) * complex(terms.sum())
-            if cmath.isfinite(value):
-                return value
-        raise TruncationError("series terms overflow; use log_eval_real")
+        def window(k):
+            if k not in windows:
+                windows[k] = self._window(rs[k])
+            return windows[k]
 
-    def _series_ray(self, z):
-        """E on an array of real z >= 0, inf where ``series`` raises
-        TruncationError, over one window of terms for a group of nodes: from
-        the first term of the smallest node's window to the last of the
-        largest's.  The log terms are concave in n and their peak moves
-        right with x, so that range holds every node's window, and the terms
-        outside a node's own window lie more than 60 nats below its largest.
-        A group splits in two where its largest node's terms overflow or its
-        (nodes x terms) matrix would exceed _UNION_TERMS entries."""
-        if np.iscomplexobj(z) or not (z >= 0).all():
-            raise TypeError("EntireE.series takes a number or a real array "
-                            "of z >= 0")
-        flat = z.ravel()
-        order = np.argsort(flat)
-        xs = flat[order]
-        out = np.full(len(xs), math.inf)
-        start = int(np.searchsorted(xs, 0.0, side="right"))
-        out[:start] = math.exp(-self.weight.moment_log(0))
-        groups = [(start, len(xs))] if start < len(xs) else []
+        def fits(k):
+            try:
+                return window(k)[1].max() <= log_max
+            except TruncationError:
+                return False
+
+        start, end = rs.count(0.0), len(rs)
+        if end > start and not fits(end - 1):
+            lo, end = start - 1, end - 1
+            while end - lo > 1:
+                mid = (lo + end) // 2
+                lo, end = (mid, end) if fits(mid) else (lo, mid)
+        top = np.full(len(rs), math.nan)
+        S = np.full(len(rs), math.nan,
+                    dtype=complex if np.iscomplexobj(z) else float)
+        top[order[:start]], S[order[:start]] = -self.weight.moment_log(0), 1.0
+        groups = [(start, end)] if start < end else []
         while groups:
             i, j = groups.pop()
-            try:
-                ns, logs = self._window(xs[j - 1])
-                first, last = self._window(xs[i])[0][0], ns[-1]
-                fits = logs.max() <= _LOG_TERM_MAX and \
-                    (j - i) * (last - first + 1) <= _UNION_TERMS
-            except TruncationError:
-                fits = False
-            if not fits:
-                groups += [(i + (j - i) // 2, j), (i, i + (j - i) // 2)] \
-                    if j - i > 1 else []
-                continue
-            ns = np.arange(first, last + 1)
-            logs = np.log(xs[i:j])[:, None] * ns - self._log_moments(ns)
-            top = logs.max(axis=1)
-            with np.errstate(over="ignore"):
-                out[i:j] = np.exp(top) * np.exp(logs - top[:, None]).sum(1)
-        value = np.empty(len(xs))
-        value[order] = out
-        return value.reshape(z.shape)
+            if j - i == 1:   # a lone node sums its own window
+                ns, logs = window(i)[0], window(i)[1][None]
+            else:
+                first, last = window(i)[0][0], window(j - 1)[0][-1]
+                if (j - i) * (last - first + 1) > _UNION_TERMS:
+                    groups += [(i, (i + j) // 2), ((i + j) // 2, j)]
+                    continue
+                ns = np.arange(first, last + 1)
+                logs = np.array([math.log(x) for x in rs[i:j]])[:, None] * ns \
+                    - self._log_moments(first, last + 1)
+            peak, zk = logs.max(axis=1), z[order[i:j]]
+            if S.dtype == complex:
+                phase = [math.atan2(v.imag, v.real) for v in zk.tolist()]
+                terms = np.exp(logs - peak[:, None]
+                               + 1j * (np.array(phase)[:, None] * ns))
+            else:
+                terms = np.exp(logs - peak[:, None])
+                neg = zk < 0
+                if neg.any():
+                    terms[neg, 1 - ns[0] % 2::2] *= -1.0   # odd n
+            top[order[i:j]], S[order[i:j]] = peak, terms.sum(axis=1)
+        return top, S
 
-    def log_series_real(self, x: float) -> float:
-        """log E(x) for real x >= 0: a log-sum-exp over the window of terms
-        within 60 nats of the largest (``_window``)."""
-        if x < 0:
-            raise DomainError("log_series_real needs x >= 0")
-        if x == 0.0:
-            return -self.weight.moment_log(0)
-        logs = self._window(x)[1]
-        top = logs.max()
-        return float(top + math.log(np.exp(logs - top).sum()))
+    def _evaluate(self, z, log, saddle):
+        """E(z), or log E(z) for real z >= 0 if ``log``, from the window sums
+        (``_sums``): a number gives a number (E complex), an array an array
+        of its shape (E float for real z).  Past the sums a node takes the
+        saddle branch if ``saddle`` is set and it is "main"; otherwise the
+        first such node in input order raises its scalar call's error."""
+        array = isinstance(z, np.ndarray)
+        # a number is one node, real where its imaginary part is 0
+        nodes = z.ravel() if array else \
+            np.array([z if complex(z).imag else complex(z).real])
+        if log:
+            top, S = self._sums(np.abs(nodes), math.inf)
+            value = np.array([t + math.log(s)
+                              for t, s in zip(top.tolist(), S.tolist())])
+            bad = np.isnan(value) | (nodes < 0)
+        else:
+            top, S = self._sums(nodes, _LOG_TERM_MAX)
+            value = np.array([math.exp(t) * s
+                              for t, s in zip(top.tolist(), S.tolist())],
+                             dtype=S.dtype if array else complex)
+            bad = ~np.isfinite(value)
+        for k in np.flatnonzero(bad).tolist():
+            if log and nodes[k] < 0:
+                raise DomainError("log_series_real needs x >= 0")
+            a = self.asymptotic(nodes[k]) if saddle else None
+            if a is None or a.branch != "main":
+                self._window(abs(nodes[k]))   # raises past n_cap terms
+                raise TruncationError("series terms overflow; use log_eval_real")
+            v = a.log_abs if log else a.value
+            value[k] = v if log or value.dtype == complex else v.real
+        return value.reshape(z.shape) if array else value.item()
 
-    def _fallback(self, z, summed, attr):
-        """``summed(z)``, or past a TruncationError the saddle branch's
-        ``attr`` when ``auto_asymptotic`` is set and z lies on it."""
-        try:
-            return summed(z)
-        except TruncationError:
-            if not self.auto_asymptotic:
-                raise
-            a = self.asymptotic(z)
-            if a.branch != "main":
-                raise
-            return getattr(a, attr)
+    def series(self, z):
+        """E(z) for a number or an array of any z (``_evaluate``): the terms
+        z^n / mu_n have the moduli of the real terms at |z|, so the window's
+        60-nat ends certify the tail.  TruncationError past ``n_cap`` terms
+        or the 1e306 term limit (use ``log_eval_real``)."""
+        return self._evaluate(z, log=False, saddle=False)
+
+    def log_series_real(self, x):
+        """log E(x) for real x >= 0, a number or an array (``_evaluate``)."""
+        return self._evaluate(x, log=True, saddle=False)
 
     def eval(self, z):
-        """E(z) for a number, or for a real array of z >= 0 (``series``;
-        the nodes where it overflows or truncates are taken one by one)."""
-        if self._closed is not None:
-            if isinstance(z, np.ndarray):
-                return self._closed(z.astype(complex))
-            return complex(self._closed(complex(z)))
+        """E(z), typed as ``series``: the closed form where the weight
+        declares one, else ``series`` with the saddle branch past it."""
+        if self._closed is None:
+            return self._evaluate(z, log=False, saddle=True)
         if not isinstance(z, np.ndarray):
-            return self._fallback(z, self.series, "value")
-        try:
-            return self.series(z)
-        except TruncationError:
-            value = self._series_ray(z)
-        over = np.isinf(value)
-        value[over] = [np.real(self.eval(v)) for v in z[over].tolist()]
-        return value
+            return complex(self._closed(complex(z)))
+        value = self._closed(z.astype(complex))
+        return value if np.iscomplexobj(z) else value.real
 
-    def log_eval_real(self, x: float) -> float:
-        if self._log_closed is not None:
-            return self._log_closed(x)
-        return self._fallback(x, self.log_series_real, "log_abs")
+    def log_eval_real(self, x):
+        """log E(x), typed as ``log_series_real``: the closed form where the
+        weight declares one, else ``log_series_real`` with the saddle branch
+        past ``n_cap`` terms."""
+        if self._log_closed is None:
+            return self._evaluate(x, log=True, saddle=True)
+        return self._log_closed(x)
 
     def asymptotic(self, z, delta: float = 0.08) -> EAsymptotic:
         """Saddle-point value sqrt(2 pi s/eps) exp(s eps)/z for the entire function
@@ -270,9 +273,8 @@ class EntireE:
         boundary = (math.pi / 2 + delta) * max(eps_lim, 1e-6)
         if abs(np.angle(z)) > min(boundary, math.pi):
             val = None
-            cf = self._closed
-            if cf is not None:
-                val = complex(cf(z))
+            if self._closed is not None:
+                val = complex(self._closed(z))
             else:
                 # the subdominant value is O(1/z) while the raw series terms
                 # peak near E(|z|): only sum when the cancellation is benign
@@ -672,8 +674,7 @@ class OmegaDomain:
         self._K = KernelK(self.weight)
         self._ts = np.geomspace(self.t_range[0], self.t_range[1], self.n_probe)
         # the E row of the probed product does not depend on z
-        self._log_E = np.array([self._E.log_eval_real(t * self.eta)
-                                for t in self._ts])
+        self._log_E = self._E.log_eval_real(self._ts * self.eta)
 
     def membership(self, z) -> OmegaMembership:
         z = complex(z)
@@ -734,14 +735,12 @@ def verify_three_E(w: WeightSpec, eta: float, delta: Optional[float] = None,
     deltas = [delta] if delta is not None else \
         [0.9 * (1 - eta), 0.5 * (1 - eta), 0.25 * (1 - eta)]
 
-    def log_E(scale):
-        return np.array([E.log_eval_real(t * scale) for t in ts])
-
-    log_E_1, log_E_eta, log_K = log_E(1.0), log_E(eta), K.log_abs(ts)
+    log_E_1, log_E_eta = E.log_eval_real(ts), E.log_eval_real(ts * eta)
+    log_K = K.log_abs(ts)
     found = None
     per_delta = {}
     for d in deltas:
-        log_E_d = log_E(d)
+        log_E_d = E.log_eval_real(ts * d)
         g = log_E_d + log_E_eta - log_E_1
         gk = log_E_d + log_E_eta + log_K
         per_delta[d] = {"log_C": float(np.max(g)), "log_C_kernel": float(np.max(gk)),
@@ -803,23 +802,16 @@ def verify_E_curve(w: WeightSpec, eta: float = 1.05, r_range=(5.0, 60.0),
     for r in rs:
         theta = min(eta / math.exp(log_L_hat(E._mw, L_inverse(E._mw, r))),
                     0.95 * math.pi)
+        # the circle |z| = r at angles theta..pi, the ray at angle theta
+        # for |z| in [r, 20r]; a point where E raises is skipped
+        zs = np.concatenate((r * np.exp(1j * np.linspace(theta, math.pi, 25)),
+                             np.geomspace(r, 20 * r, 25) * np.exp(1j * theta)))
         best = -math.inf
-        # circle |z| = r, angles theta..pi
-        for ang in np.linspace(theta, math.pi, 25):
-            zv = r * np.exp(1j * ang)
+        for zv in zs.tolist():
             try:
-                val = abs(E.eval(zv))
+                best = max(best, math.log(abs(E.eval(zv)) + 1e-300))
             except MomentSumError:
-                continue
-            best = max(best, math.log(val + 1e-300))
-        # rays at angle theta, |z| in [r, 20r]
-        for u in np.geomspace(r, 20 * r, 25):
-            zv = u * np.exp(1j * theta)
-            try:
-                val = abs(E.eval(zv))
-            except MomentSumError:
-                continue
-            best = max(best, math.log(val + 1e-300))
+                pass
         logC.append(best - E.log_eval_real(r))
     stable = _stability(logC)
     return LemmaReport("E_curve", w.describe(),
@@ -833,10 +825,8 @@ def verify_E_exp(w: WeightSpec, k_range=(20, 60)) -> LemmaReport:
     constant, and for the classical weight the ratio is strictly decreasing."""
     E = EntireE(w)
     ks = list(range(k_range[0], k_range[1] + 1))
-    logC = []
-    for k in ks:
-        Lk = math.exp(float(np.real(log_L(E._mw, k))))
-        logC.append(E.log_eval_real(Lk) - 2.0 * k)
+    Lk = np.array([math.exp(float(np.real(log_L(E._mw, k)))) for k in ks])
+    logC = (E.log_eval_real(Lk) - 2.0 * np.array(ks)).tolist()
     diffs = np.diff(logC)
     non_increasing = bool(np.all(diffs <= 1e-9))
     return LemmaReport("E_exp", w.describe(),

@@ -207,18 +207,23 @@ class TestVerifyApplicability:
 README_FAMILIES = ["gamma_power:alpha=1", "log_power:alpha=1",
                    "loglog_power:beta=1", "exp_logpower:alpha=0.5",
                    "exp_log_over_loglog:alpha=1", "iterated_log:k=1"]
-SWEEP_ARGS = {"sum": [], "gammahat": [], "kernel": [], "euler": [],
-              "verify": ["--suite", "all"]}
+# the command, then its arguments after the family's --weight; multisum
+# pairs each family with gamma_power(2)
+SWEEP_ARGS = {"sum": ["sum"], "gammahat": ["gammahat"], "kernel": ["kernel"],
+              "euler": ["euler"], "verify": ["verify", "--suite", "all"],
+              "multisum": ["multisum", "--weight", "gamma_power:alpha=2"],
+              "classes_A": ["classes", "--class-tag", "A"],
+              "classes_B": ["classes", "--class-tag", "B"]}
 
 
 @pytest.mark.parametrize("command", list(SWEEP_ARGS))
 @pytest.mark.parametrize("weight", README_FAMILIES)
 def test_family_command_sweep(capsys, tmp_path, weight, command):
-    """Every README family under every cheap command either succeeds or
-    exits 1 naming a MomentSumError; exit 2 is for config errors only."""
-    code, _, err = _run_main(capsys, [command, "--weight", weight,
-                                      "--out", str(tmp_path)]
-                             + SWEEP_ARGS[command])
+    """Every README family under every command either succeeds or exits 1
+    naming a MomentSumError; exit 2 is for config errors only."""
+    cmd, *args = SWEEP_ARGS[command]
+    code, _, err = _run_main(capsys, [cmd, "--weight", weight,
+                                      "--out", str(tmp_path)] + args)
     assert code in (0, 1), err
     if code == 1:
         m = re.search(r'^\{"error": "(\w+)"', err, re.M)
@@ -234,6 +239,17 @@ def test_console_script_subprocess():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert abs(float(proc.stdout.split()[0]) - EULER_SUM_X1) < 1e-6
+
+
+def test_package_never_imports_mpmath():
+    # mpmath is for the tests and the bench; the package runs without it
+    code = ("import sys, momentsum.cli\n"
+            "rc = momentsum.cli.main(['sum', '--weight', 'gamma_power:alpha=1',"
+            " '--series', 'euler', '--x', '1.0'])\n"
+            "assert rc == 0 and 'mpmath' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_kernel_suite_alpha3_passes_quietly():

@@ -381,14 +381,102 @@ def test_series_on_a_node_array_matches_the_scalar_calls(w):
     assert np.array_equal(grid.ravel(), got)
 
 
-def test_series_arrays_outside_the_ray_are_rejected():
-    # complex and negative arrays keep raising TypeError, so the Laplace
-    # rule maps such a handle point by point
-    E = EntireE(WeightSpec.gamma_power(3.0))
-    for z in (np.array([0.5, -0.5]), np.array([0.5 + 0.1j])):
-        for call in (E.series, E.eval):
-            with pytest.raises(TypeError):
-                call(z)
+def test_arrays_of_any_z_match_the_scalar_calls():
+    # one window sum serves numbers and arrays of any z.  The nodes lie where
+    # the sum does not cancel: where |E(z)| << E(|z|) the scalar value is
+    # itself rounding noise (the cancellation certificate is still open)
+    real = np.concatenate(([0.0], np.geomspace(1e-3, 6.0, 13), [0.0, 2.5]))
+    small = np.geomspace(1e-3, 0.6, 8)
+    kinds = {"real with zeros": real,
+             "negative": -small,
+             "complex": np.concatenate((real * np.exp(0.02j),
+                                        small * np.exp(2.5j), [0j])),
+             "2-D": real.reshape(4, 4)}
+    for w in (W1, W2, WeightSpec.gamma_power(3.0),
+              WeightSpec.gamma_power(0.5), WeightSpec.iterated_log(1)):
+        E = EntireE(w)
+        for kind, z in kinds.items():
+            calls = [E.series, E.eval]
+            if not np.iscomplexobj(z) and (z >= 0).all():
+                calls.append(E.log_eval_real)
+            for call in calls:
+                got = call(z)
+                assert got.shape == z.shape, (w, kind, call)
+                want = np.array([call(v) for v in z.ravel().tolist()])
+                err = np.abs(got.ravel() - want)
+                assert np.all(err <= 1e-15 * np.abs(want)), (w, kind, call)
+
+
+def test_eval_returns_one_dtype_per_kind_of_input():
+    # closed (alpha 1, 2) or summed (alpha 3): real arrays give floats,
+    # complex arrays complex, numbers complex
+    x = np.array([0.0, 0.5, 1.5])
+    for alpha in (1.0, 2.0, 3.0):
+        E = EntireE(WeightSpec.gamma_power(alpha))
+        assert E.eval(x).dtype == np.float64
+        assert E.eval(x + 0.5j).dtype == np.complex128
+        assert isinstance(E.eval(0.5), complex)
+        assert isinstance(E.eval(0.5 + 0.5j), complex)
+
+
+def test_closed_log_E_takes_arrays():
+    # exact at alpha 1 and 2, point by point through the scalar code
+    x = np.array([0.0, 0.3, 4.0, 30.0])
+    for w in (W1, W2):
+        E = EntireE(w)
+        got = E.log_eval_real(x.reshape(2, 2))
+        assert got.shape == (2, 2)
+        assert got.ravel().tolist() == [E.log_eval_real(v) for v in x.tolist()]
+    from momentsum.errors import DomainError
+    with pytest.raises(DomainError):
+        EntireE(W2).log_eval_real(np.array([1.0, -1.0]))
+
+
+def test_array_calls_raise_the_first_failing_node_error():
+    # in input order, the error the node's own scalar call raises
+    from momentsum.errors import DomainError, SaddleFailure
+    E = EntireE(WeightSpec.iterated_log(1), n_cap=300)
+    z = np.array([1.0, 8.0, 5.0])
+    with pytest.raises(TruncationError) as scalar:
+        E.series(8.0)
+    with pytest.raises(TruncationError) as array:
+        E.series(z)
+    assert str(array.value) == str(scalar.value)
+    E3 = EntireE(WeightSpec.gamma_power(3.0))
+    with pytest.raises(TruncationError):
+        E3.log_series_real(np.array([2.0, 150.0, -1.0]))
+    with pytest.raises(DomainError):
+        E3.log_series_real(np.array([2.0, -1.0, 150.0]))
+    # past n_cap the saddle branch answers, until its solve fails
+    E = EntireE(WeightSpec.iterated_log(1))
+    with pytest.raises(SaddleFailure) as scalar:
+        E.log_eval_real(150.0)
+    with pytest.raises(SaddleFailure) as array:
+        E.log_eval_real(np.array([100.0, 200.0, 150.0]))
+    assert str(array.value) == str(scalar.value)
+
+
+def test_overflowing_tail_is_split_off_with_one_bisection():
+    # the nodes past the 1e306 term limit are the tail of the sorted |z|:
+    # they take the saddle branch as the scalar calls do, and the windows
+    # probed to find them grow like log n
+    from momentsum.applications import MultiSumPlan
+    prod = MultiSumPlan([W2, W2]).product_weight()
+    E = EntireE(prod)
+    z = np.geomspace(1e-3, 5.1e3, 52)
+    got = E.eval(z)
+    want = np.array([E.eval(v).real for v in z.tolist()])
+    over = np.isinf(want)
+    assert over.sum() == 9 and np.array_equal(got[over], want[over])
+    assert np.all(np.abs(got[~over] - want[~over]) <= 1e-15 * want[~over])
+    calls = []
+    for n in (13, 52, 208):
+        E = EntireE(WeightSpec.gamma_power(3.0))
+        window = E._window
+        E._window = lambda x: (calls.append(x), window(x))[1]
+        calls.clear()
+        E.eval(np.geomspace(1e-3, 20.0, n))
+        assert len(calls) <= math.log2(n) + 3, (n, len(calls))
 
 
 def test_eval_on_an_array_takes_overflowing_nodes_one_by_one():

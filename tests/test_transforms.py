@@ -268,13 +268,12 @@ def test_series_auto_switch_to_asymptotic():
     # past the term cap the evaluator hands over to the saddle branch
     w = WeightSpec.gamma_power(1.5)
     ref = EntireE(w).log_eval_real(60.0)
-    E = EntireE(w, n_cap=300, auto_asymptotic=True)
+    E = EntireE(w, n_cap=300)
     got = E.log_eval_real(60.0)
     assert abs(got - ref) / ref < 0.02
-    E2 = EntireE(w, n_cap=300, auto_asymptotic=False)
     from momentsum.errors import TruncationError
     with pytest.raises(TruncationError):
-        E2.series(60.0)
+        E.series(60.0)
 
 
 class TestFiniteDifferenceFallback:
