@@ -27,11 +27,6 @@ from .weights import WeightSpec, eval_eps
 # ---------------------------------------------------------------------------
 
 
-def iterated_log_weight(k: int) -> WeightSpec:
-    """The k-th iterated-log weight, gamma(n+1) = log_[k]^n(n + exp_[k](1))."""
-    return WeightSpec.iterated_log(k)
-
-
 def _tabulated_weight(log_values, label: str) -> WeightSpec:
     """Custom weight from log gamma values at s = 1..len(values)."""
     s_knots = np.arange(1, len(log_values) + 1, dtype=float)
@@ -131,20 +126,6 @@ class MultiSumPlan:
         shared instance per tuple of stage weights (``_product_weight``)."""
         ws = tuple(self.weights)
         return ws[0] if len(ws) == 1 else _product_weight(ws)
-
-    def to_json(self) -> str:
-        import json
-        return json.dumps({"weights": [json.loads(w.to_json())
-                                       for w in self.weights],
-                           "tol": self.tol, "label": self.label})
-
-    @staticmethod
-    def from_json(text: str) -> "MultiSumPlan":
-        import json
-        d = json.loads(text)
-        ws = [WeightSpec.from_json(json.dumps(item)) for item in d["weights"]]
-        return MultiSumPlan(ws, tol=d.get("tol", 1e-9),
-                            label=d.get("label", ""))
 
 
 def multisum(a: FormalSeries, plan: MultiSumPlan, x: float) -> SummationResult:
@@ -321,11 +302,6 @@ def _mu_ratio(w: WeightSpec, m: int, j: int):
     if exact is not None:
         return Fraction(exact(m), exact(m - j))
     return math.exp(w.moment_log(m) - w.moment_log(m - j))
-
-
-def euler_apply_V(a: FormalSeries, w: WeightSpec, power: int = 1) -> FormalSeries:
-    """Apply V (or V^power): coefficient shift with the moment-ratio factor."""
-    return euler_apply_P((0,) * power + (1,), a, w)
 
 
 def euler_apply_P(P, a: FormalSeries, w: WeightSpec) -> FormalSeries:

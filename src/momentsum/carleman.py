@@ -70,18 +70,6 @@ def _stirling_fill(table, rec, n, j):
     return val
 
 
-def stirling_csv(path: str, n_max: int, kind: str = "second"):
-    import csv
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# stirling {kind} triangle, n <= {n_max}\n")
-        wr = csv.writer(fh)
-        wr.writerow(["n", "j", "value"])
-        for n in range(n_max + 1):
-            for j in range(n + 1):
-                wr.writerow([n, j, stirling_numbers(kind, n, j)])
-    return path
-
-
 def exp_change_of_variables(direction: str, derivs, point):
     """Derivative vectors under t = e^x.
 
@@ -156,9 +144,6 @@ class SequenceM:
         return (np.array([self.logM(n) for n in range(n_max + 1)])
                 - gammaln(np.arange(n_max + 1) + 1.0))
 
-    def M(self, n: int) -> float:
-        return math.exp(self.logM(n))
-
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -209,11 +194,6 @@ class RegularityReport:
     n_max: int
     regular: bool
     details: dict
-
-    def to_json(self) -> str:
-        return json.dumps({k: (None if v is None else
-                               ("inf" if v == math.inf else v))
-                           for k, v in self.__dict__.items() if k != "details"})
 
 
 def _holds_from(ok) -> Optional[int]:
@@ -426,29 +406,18 @@ def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
 # associated weight and regular-sequence facts
 # ---------------------------------------------------------------------------
 
-def _h_argmin(M: SequenceM, r: float, n_max: Optional[int]):
-    """(min_n log(m_n r^n), its first argmin, n_max) over the cached range."""
+def associated_weight_h(M: SequenceM, r: float, n_max: Optional[int] = None):
+    """Dynkin's h(r) = inf_{n >= 0} m_n r^n over the cached range.
+
+    Returns (h, argmin, at_cap); h underflows to 0.0.
+    """
     if r <= 0:
         raise DomainError("h(r) needs r > 0")
     n_max = n_max or M.n_max
     vals = M.logm_upto(n_max) + np.arange(n_max + 1) * math.log(r)
     arg = int(np.argmin(vals))
-    return float(vals[arg]), arg, n_max
-
-
-def associated_weight_h(M: SequenceM, r: float, n_max: Optional[int] = None):
-    """Dynkin's h(r) = inf_{n >= 0} m_n r^n over the cached range.
-
-    Returns (h, argmin, at_cap); h underflows to 0.0 gracefully (the log
-    value is in the report tuple via math.log fallback at the caller).
-    """
-    best, arg, n_max = _h_argmin(M, r, n_max)
+    best = float(vals[arg])
     return (math.exp(best) if best > -745 else 0.0), arg, arg == n_max
-
-
-def associated_weight_h_log(M: SequenceM, r: float,
-                            n_max: Optional[int] = None) -> float:
-    return _h_argmin(M, r, n_max)[0]
 
 
 @dataclass

@@ -35,52 +35,22 @@ def project_to_interval(z, J) -> complex:
 
 @dataclass
 class TaylorField:
-    """Derivative jets f^(j) on an interval, by exact oracle or grid table.
-
-    Grid mode snaps to the nearest grid point (keeping P_N|_J = f exact at
-    the stored points); oracle mode evaluates jets at the continuous
-    projection, which is what the dbar measurement needs.
-    """
+    """Derivative jets f^(j), j <= n_max, on an interval from an oracle (a
+    FunctionHandle-like ``derivative``), taken at the continuous projection,
+    which is what the dbar measurement needs."""
 
     interval: tuple
     n_max: int
-    oracle: Optional[object] = None          # FunctionHandle-like
-    grid: Optional[np.ndarray] = None
-    jets: Optional[np.ndarray] = None        # (len(grid), n_max+1)
+    oracle: object
 
     @staticmethod
     def from_oracle(f, J, n_max: int) -> "TaylorField":
-        return TaylorField(tuple(J), n_max, oracle=f)
-
-    @staticmethod
-    def from_grid(J, xs, jets) -> "TaylorField":
-        xs = np.asarray(xs, dtype=float)
-        jets = np.asarray(jets, dtype=float)
-        if jets.shape[0] != len(xs):
-            raise DomainError("jets must have one row per grid point")
-        return TaylorField(tuple(J), jets.shape[1] - 1, grid=xs, jets=jets)
+        return TaylorField(tuple(J), n_max, f)
 
     def jet(self, x: float, j: int):
         if j > self.n_max:
             raise JetUnavailable(f"jet order {j} above n_max={self.n_max}")
-        if self.oracle is not None:
-            return self.oracle.derivative(float(x), j)
-        i = int(np.argmin(np.abs(self.grid - x)))
-        return self.jets[i, j]
-
-    def validate_grid(self, rel_tol: float = 0.05) -> bool:
-        """Grid jets must be consistent with finite differences of the next
-        lower order along the grid."""
-        if self.grid is None or len(self.grid) < 3:
-            return True
-        h = np.diff(self.grid)
-        for j in range(self.n_max):
-            fd = (self.jets[2:, j] - self.jets[:-2, j]) / (h[1:] + h[:-1])
-            ref = self.jets[1:-1, j + 1]
-            scale = np.max(np.abs(ref)) + 1e-12
-            if np.max(np.abs(fd - ref)) > rel_tol * scale + 1e-9:
-                return False
-        return True
+        return self.oracle.derivative(float(x), j)
 
 
 def taylor_extension_PN(tf: TaylorField, z, N: int) -> complex:
@@ -98,11 +68,7 @@ def taylor_extension_PN(tf: TaylorField, z, N: int) -> complex:
 
 def dbar_measure(tf: TaylorField, z, N: int, h: Optional[float] = None) -> complex:
     """dbar P_N(z) = (d/dx + i d/dy) P_N / 2 by Richardson-refined central
-    differences.
-
-    Grid-jet fields need h larger than the grid spacing (below it the
-    snapped jets make P_N piecewise holomorphic and the measurement reads 0).
-    """
+    differences."""
     z = complex(z)
     dist = abs(z - project_to_interval(z, tf.interval))
     if h is None:
@@ -125,23 +91,13 @@ def dbar_measure(tf: TaylorField, z, N: int, h: Optional[float] = None) -> compl
 # neighborhood sets
 # ---------------------------------------------------------------------------
 
-def _seg_dist(z: complex, a: complex, b: complex) -> float:
-    """Distance from z to the segment [a, b]."""
-    ab = b - a
-    t = ((z - a).real * ab.real + (z - a).imag * ab.imag) / abs(ab) ** 2
-    t = min(max(t, 0.0), 1.0)
-    return abs(z - (a + t * ab))
-
-
 @dataclass(frozen=True)
 class NeighborhoodSet:
-    """The shrinking neighborhoods V/U/Omega_k of an interval or Omega
+    """The shrinking neighborhoods V/Omega_k of an interval or Omega
     domain, driven by the weight profiles Lhat(k), L(k) and m_k^{1/k}.
 
     kinds:
       V       dist(z,J) <= |z*| eta/Lhat(k)  union  dist(z,J) <= 1/(Q m_k^{1/k})
-      U       1/(Q m_k^{1/k} L(k))-neighborhood of the sector
-              {|arg z| <= eta/Lhat(k), Re z in J} (mirrored for negative reals)
       Omega_k dist(z, Omega_eta) <= 1/(Q m_k^{1/k} L(k))
     """
 
@@ -158,8 +114,8 @@ class NeighborhoodSet:
     _mk_root: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("V", "U", "Omega_k"):
-            raise DomainError("kind must be V, U, or Omega_k")
+        if self.kind not in ("V", "Omega_k"):
+            raise DomainError("kind must be V or Omega_k")
         mw, k = moment_weight(self.weight), max(self.k, 2)
         object.__setattr__(self, "_Lhat", math.exp(log_L_hat(mw, k)))
         object.__setattr__(self, "_L",
@@ -179,38 +135,7 @@ class NeighborhoodSet:
             d = abs(z - zs)
             return d <= abs(zs) * self.eta / self._Lhat or \
                 d <= self.tube_radius()
-        if self.kind == "U":
-            return self._dist_sector(z) <= self.tube_radius()
         return self._dist_omega(z) <= self.tube_radius()
-
-    def _dist_sector(self, z: complex) -> float:
-        theta = self.eta / self._Lhat
-        if theta >= 0.499 * math.pi:
-            raise DomainError(
-                "U-set sector half-angle >= pi/2: the construction needs a "
-                "weight with slowly growing companion profile (eps -> 0)")
-        j0, j1 = self.interval
-        best = math.inf
-        pieces = []
-        if j1 > 0:
-            pieces.append((1.0, max(j0, 0.0), j1))
-        if j0 < 0:
-            pieces.append((-1.0, max(-j1, 0.0), -j0))
-        for sgn, r0, r1 in pieces:
-            zz = z if sgn > 0 else -z
-            # the truncated sector {|arg| <= theta, Re in [r0, r1]}
-            if abs(zz) > 0 and abs(np.angle(zz)) <= theta and r0 <= zz.real <= r1:
-                return 0.0
-            ray_len = r1 / math.cos(theta)
-            for phi in (theta, -theta):
-                e = ray_len * complex(math.cos(phi), math.sin(phi))
-                best = min(best, _seg_dist(zz, complex(r0), e))
-            top = complex(r1, r1 * math.tan(theta))
-            best = min(best, _seg_dist(zz, top.conjugate(), top))
-            if r0 > 0:
-                side = complex(r0, r0 * math.tan(theta))
-                best = min(best, _seg_dist(zz, side.conjugate(), side))
-        return best
 
     def _dist_omega(self, z: complex) -> float:
         """Distance to Omega_eta for gamma_power weights (closed region
@@ -232,55 +157,6 @@ class NeighborhoodSet:
             rho = math.cos(a * phi) ** (1.0 / a) / self.eta
             best = min(best, abs(z - rho * complex(math.cos(phi), math.sin(phi))))
         return best
-
-    # -- boundary sampling (V kind) -----------------------------------------
-
-    def boundary_points(self, n: int = 400):
-        """Sample points of the V-set boundary (used by the separation check)."""
-        if self.kind != "V":
-            raise DomainError("boundary sampling implemented for V sets")
-        j0, j1 = self.interval
-        Lh = self._Lhat
-        tube = self.tube_radius()
-
-        def halfwidth(x):
-            zs = min(max(x, j0), j1)
-            return max(abs(zs) * self.eta / Lh, tube)
-
-        pts = []
-        end_r0 = halfwidth(j0)
-        end_r1 = halfwidth(j1)
-        xs = np.linspace(j0, j1, n // 2)
-        for x in xs:
-            d = halfwidth(x)
-            pts.append(complex(x, d))
-            pts.append(complex(x, -d))
-        for ang in np.linspace(math.pi / 2, 3 * math.pi / 2, n // 8):
-            pts.append(complex(j0) + end_r0 * complex(math.cos(ang), math.sin(ang)))
-        for ang in np.linspace(-math.pi / 2, math.pi / 2, n // 8):
-            pts.append(complex(j1) + end_r1 * complex(math.cos(ang), math.sin(ang)))
-        return pts
-
-
-def neighborhood_membership(ns: NeighborhoodSet, z) -> bool:
-    return ns.contains(z)
-
-
-def v_set_separation(ns_k: NeighborhoodSet, ns_k1: NeighborhoodSet,
-                     n_samples: int = 400):
-    """Sampled dist(boundary V_{k+1}, boundary V_k) against the claimed
-    lower bound min{tube(k+1)-tube(k) gap, slope gap}."""
-    if ns_k.kind != "V" or ns_k1.kind != "V":
-        raise DomainError("separation check is for V sets")
-    pts1 = ns_k1.boundary_points(n_samples)
-    pts0 = ns_k.boundary_points(4 * n_samples)
-    arr0 = np.array(pts0)
-    measured = min(float(np.min(np.abs(arr0 - p))) for p in pts1)
-    t_k, t_k1 = ns_k.tube_radius(), ns_k1.tube_radius()
-    Lh_k, Lh_k1 = ns_k._Lhat, ns_k1._Lhat
-    bound = min(t_k1 - t_k if t_k1 > t_k else t_k - t_k1,
-                0.5 * ns_k.eta * t_k1 * (Lh_k1 / Lh_k - 1.0))
-    return measured, bound
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +201,6 @@ class PlanarField:
         xs = self.x0 + (np.arange(self.nx) + 0.5) * self.hx
         ys = self.y0 + (np.arange(self.ny) + 0.5) * self.hy
         return xs, ys
-
-    def to_csv(self, path, header_note: str = ""):
-        xs, ys = self.centers()
-        with open(path, "w", newline="") as fh:
-            if header_note:
-                fh.write(f"# {header_note}\n")
-            wr = csv.writer(fh)
-            wr.writerow(["x", "y", "re", "im"])
-            for iy, y in enumerate(ys):
-                for ix, x in enumerate(xs):
-                    v = self.values[iy, ix]
-                    wr.writerow([f"{x:.9g}", f"{y:.9g}",
-                                 f"{v.real:.12g}", f"{v.imag:.12g}"])
-        return path
 
 
 def _antideriv(zeta: complex) -> complex:

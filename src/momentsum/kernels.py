@@ -10,10 +10,9 @@ saddle-point asymptotics driven by ``solve_saddle``.
 Closed forms come from the weight's family table (``WeightSpec.closed``):
 for gamma_power ``mu_n = Gamma(1+n/alpha)``, ``K(t) = alpha t^(alpha-1)
 exp(-t^alpha)`` (exactly; the literature's ``exp(-t^alpha)`` differs by the
-polynomial prefactor and is kept as the textbook-normalization closed form,
-coinciding at alpha = 1), and E is the Mittag-Leffler function (``exp`` at
-alpha=1, ``erfcx``-type at alpha=2).  Both classes look their closed forms
-up once, at construction.
+polynomial prefactor, coinciding at alpha = 1), and E is the Mittag-Leffler
+function (``exp`` at alpha=1, ``erfcx``-type at alpha=2).  Both classes look
+their closed forms up once, at construction.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (DecayTooSlow, DomainError, MomentSumError, NoConvergence,
-                     QuadratureStall, SaddleFailure, TruncationError,
-                     UnsupportedFamily)
+                     QuadratureStall, SaddleFailure, TruncationError)
 from .weights import (LOG_FLOAT_MAX, L_inverse, WeightSpec,
                       _array_or_pointwise, eval_eps, gamma_hat_numeric, log_L,
                       log_L_hat, moment_weight, solve_saddle)
@@ -312,19 +310,6 @@ def _saddle_value(mw: WeightSpec, z, sign: float, log_z):
 # K
 # ---------------------------------------------------------------------------
 
-def K_closed(w: WeightSpec, t):
-    """Textbook-normalization closed form exp(-t^alpha) (gamma_power only).
-
-    Coincides with the canonical moment kernel exactly at alpha = 1; for
-    other alpha it differs by the prefactor alpha t^(alpha-1) and is kept
-    for reference comparisons only.
-    """
-    fn = w.closed("textbook_kernel")
-    if fn is None:
-        raise UnsupportedFamily(f"no textbook closed kernel for {w.describe()}")
-    return fn(t)
-
-
 @dataclass
 class KernelK:
     """Moment kernel with int_0^inf t^n K(t) dt = mu_n.
@@ -354,10 +339,6 @@ class KernelK:
         exp(-t^alpha) for gamma_power, a custom ``kernel`` hook); None
         otherwise."""
         return None if self._closed is None else self._closed(t)
-
-    def log_abs_closed(self, t):
-        """log |K(t)| for complex t via the closed form (overflow-safe)."""
-        return None if self._log_abs_closed is None else self._log_abs_closed(t)
 
     # -- Mellin inversion ----------------------------------------------------
 
@@ -592,20 +573,6 @@ class KernelK:
             return (float(value[0]) if real else complex(value[0])), float(err[0])
         return value, err
 
-    def theta_derivatives(self, t, n_max: int):
-        """theta^j K(t) for j = 0..n_max, theta = t d/dt, for an array of t:
-        the Mellin sums of ``mellin`` with (-z)^j in the integrand, on the
-        same saddle lines.  With K_1(u) = K(e^u), row j is d^j/du^j K_1.
-        Returns (values, err), arrays of shape (n_max + 1, len(t)); row 0
-        is ``mellin(t)`` bit for bit."""
-        ta = np.atleast_1d(t)
-        _, log_factor, total, err = self._line_sums(ta, self.mellin_tol,
-                                                    m=n_max)
-        total, err = total.reshape(len(ta), -1).T, err.reshape(len(ta), -1).T
-        with np.errstate(under="ignore"):
-            factor = np.exp(log_factor)
-            return factor * total, np.abs(factor) * err
-
     # -- saddle asymptotics --------------------------------------------------
 
     def asymptotic(self, t):
@@ -760,9 +727,9 @@ def verify_K1_deriv(w: WeightSpec, n_max: int = 6, delta: Optional[float] = None
 
     K_1(u) = K(e^u), so d^j/du^j K_1 = theta^j K with theta = t d/dt: one
     call of the saddle-line sums gives every row j <= n_max at the nodes
-    e^t and e^(t - delta) (``KernelK.theta_derivatives``), here in log scale
-    and without the underflow stop, so the ratio is relative-accurate where
-    K_1 underflows.  The statement targets weights with eps -> 0; for
+    e^t and e^(t - delta) (``KernelK._line_sums`` with m = n_max), in log
+    scale and without the underflow stop, so the ratio is relative-accurate
+    where K_1 underflows.  The statement targets weights with eps -> 0; for
     eps-limit > 0 a bounded constant needs delta with delta(1+delta) >=
     (pi/2) eps_lim, hence the default choice.
     """

@@ -28,7 +28,6 @@ from .errors import (DegenerateDenominator, DerivativeUnavailable, DomainError,
 from .kernels import EntireE, KernelK
 from .weights import L_inverse, WeightSpec, log_L_hat
 
-MAX_FD_ORDER = 8  # finite-difference derivatives beyond this are ill-conditioned
 _EPS = np.finfo(float).eps
 
 
@@ -47,11 +46,7 @@ def _horner(coeffs, x):
 
 @dataclass(frozen=True)
 class FormalSeries:
-    """Finite coefficient vector a_0..a_n over exact rationals or floats.
-
-    Binary operations truncate to the shorter operand, so every operation is
-    closed under the stored length.
-    """
+    """Finite coefficient vector a_0..a_n over exact rationals or floats."""
 
     coeffs: tuple
 
@@ -61,9 +56,8 @@ class FormalSeries:
 
     @property
     def exact(self) -> bool:
-        """Every coefficient is a Fraction.  Arithmetic keeps that on its
-        own (Fraction with Fraction stays exact, anything with a float is a
-        float); only the Pade solve and ``to_json`` ask."""
+        """Every coefficient is a Fraction; the Pade solve and ``to_json``
+        ask."""
         return all(isinstance(c, Fraction) for c in self.coeffs)
 
     def __len__(self):
@@ -71,38 +65,6 @@ class FormalSeries:
 
     def __getitem__(self, k):
         return self.coeffs[k]
-
-    def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        n = min(len(self), len(other))
-        return FormalSeries(tuple(self[k] + other[k] for k in range(n)))
-
-    def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        n = min(len(self), len(other))
-        return FormalSeries(tuple(self[k] - other[k] for k in range(n)))
-
-    def scale(self, c) -> "FormalSeries":
-        return FormalSeries(tuple(c * v for v in self.coeffs))
-
-    def cauchy_mul(self, other: "FormalSeries") -> "FormalSeries":
-        n = min(len(self), len(other))
-        out = []
-        for k in range(n):
-            out.append(sum((self[j] * other[k - j] for j in range(k + 1)),
-                           start=Fraction(0)))
-        return FormalSeries(tuple(out))
-
-    def divide_by_unit(self, other: "FormalSeries") -> "FormalSeries":
-        """Coefficientwise division by a series with invertible constant term."""
-        if other[0] == 0:
-            raise DomainError("division needs a unit (nonzero constant term)")
-        n = min(len(self), len(other))
-        out = []
-        for k in range(n):
-            acc = self[k]
-            for j in range(1, k + 1):
-                acc = acc - other[j] * out[k - j]
-            out.append(acc / other[0])
-        return FormalSeries(tuple(out))
 
     def eval(self, x):
         return _horner([float(c) for c in self.coeffs], x)
@@ -116,32 +78,31 @@ class FormalSeries:
 
     @staticmethod
     def from_json(text: str) -> "FormalSeries":
+        """The series of ``to_json``.  ValueError unless "coeffs" is a
+        non-empty list of finite numbers, or with "exact" set of rational
+        strings or integers."""
         d = json.loads(text)
-        if d.get("exact"):
-            return FormalSeries(tuple(Fraction(c) for c in d["coeffs"]))
-        return FormalSeries(tuple(float(c) for c in d["coeffs"]))
+        cs = d.get("coeffs") if isinstance(d, dict) else None
+        if not isinstance(cs, list) or not cs:
+            raise ValueError('a series needs "coeffs", a non-empty list')
+        exact = d.get("exact")
+        kinds = (str, int) if exact else (int, float)
+        for c in cs:
+            if isinstance(c, bool) or not isinstance(c, kinds) or \
+                    (isinstance(c, float) and not math.isfinite(c)):
+                raise ValueError(f"series coefficient {c!r} is not "
+                                 + ("rational" if exact else "a finite number"))
+        if not exact:
+            return FormalSeries(tuple(float(c) for c in cs))
+        try:
+            return FormalSeries(tuple(Fraction(c) for c in cs))
+        except ZeroDivisionError as exc:
+            raise ValueError("a series coefficient has denominator 0") from exc
 
 
 # ---------------------------------------------------------------------------
 # function handles
 # ---------------------------------------------------------------------------
-
-def _fd_derivative(f: Callable, x: float, n: int, h0: Optional[float] = None) -> float:
-    """Richardson-extrapolated central difference of order n (n <= 8)."""
-    if n == 0:
-        return f(x)
-    if n > MAX_FD_ORDER:
-        raise DerivativeUnavailable(
-            f"finite differences capped at order {MAX_FD_ORDER}; supply an oracle")
-    h0 = h0 or max(abs(x), 1.0) * (0.005 * (n + 1))
-
-    def central(h):
-        return sum((-1) ** k * math.comb(n, k) * f(x + (n / 2 - k) * h)
-                   for k in range(n + 1)) / h ** n
-
-    d1, d2 = central(h0), central(h0 / 2)
-    return (4.0 * d2 - d1) / 3.0
-
 
 @dataclass
 class FunctionHandle:
@@ -155,7 +116,7 @@ class FunctionHandle:
     """
 
     evaluator: Callable
-    derivative_fn: Optional[Callable] = None   # (x, n) -> value; FD otherwise
+    derivative_fn: Optional[Callable] = None   # (x, n) -> value
     growth_eta: float = 0.0
     growth_weight: Optional[WeightSpec] = None
     complex_capable: bool = False
@@ -166,11 +127,13 @@ class FunctionHandle:
         return self.evaluator(x)
 
     def derivative(self, x, n: int):
+        """F^(n)(x); DerivativeUnavailable for n > 0 without an oracle."""
         if n == 0:
             return self.evaluator(x)
-        if self.derivative_fn is not None:
-            return self.derivative_fn(x, n)
-        return _fd_derivative(self.evaluator, x, n)
+        if self.derivative_fn is None:
+            raise DerivativeUnavailable(
+                f"{self.label or 'handle'} has no derivative oracle")
+        return self.derivative_fn(x, n)
 
     @staticmethod
     def from_series_eval(series: FormalSeries, label="poly") -> "FunctionHandle":
@@ -179,12 +142,8 @@ class FunctionHandle:
         def ev(x):
             return _horner(coeffs, x)
 
-        def dv(x, n):
-            return _horner([coeffs[k] * math.perm(k, n)
-                            for k in range(n, len(coeffs))], x)
-
-        return FunctionHandle(ev, dv, growth_eta=0.0,
-                              complex_capable=True, label=label)
+        return FunctionHandle(ev, growth_eta=0.0, complex_capable=True,
+                              label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ paired with K and E use the index-shifted weight ``gamma(s - 1)``; see
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -165,12 +164,6 @@ def _gp_log_abs_kernel(p):
     return log_abs_K
 
 
-def _gp_textbook_kernel(p):
-    a = p["alpha"]
-    return lambda t: np.exp(-np.asarray(t, dtype=complex) ** a) \
-        if np.iscomplexobj(t) else float(np.exp(-float(t) ** a))
-
-
 def _gp_entire(p):
     if p["alpha"] == 1.0:
         return np.exp
@@ -259,7 +252,6 @@ class _Family:
     moments: Optional[Callable] = None          # n -> mu_n as an exact integer
     kernel: Optional[Callable] = None           # t -> K(t), complex-capable
     log_abs_kernel: Optional[Callable] = None   # t -> log |K(t)|
-    textbook_kernel: Optional[Callable] = None  # t -> the literature's normalization of K
     entire: Optional[Callable] = None           # z -> E(z)
     log_entire_real: Optional[Callable] = None  # x -> log E(x) on the ray
     log_abs_gamma_imag: Optional[Callable] = None  # rho -> log |gamma(i rho)|
@@ -296,7 +288,7 @@ _FAMILIES = {
                 lambda p: -p["alpha"] + 1e-9, 2.0,
                 moments=lambda p: math.factorial if p["alpha"] == 1.0 else None,
                 kernel=_gp_kernel, log_abs_kernel=_gp_log_abs_kernel,
-                textbook_kernel=_gp_textbook_kernel, entire=_gp_entire,
+                entire=_gp_entire,
                 log_entire_real=_gp_log_entire_real,
                 log_abs_gamma_imag=_gp_log_abs_gamma_imag,
                 ghat_factor=lambda p, ln: 2.0 / math.pi * p["alpha"],
@@ -546,28 +538,6 @@ class WeightSpec:
         ps = ",".join(f"{k}={v:g}" for k, v in self.params)
         return f"{self.family}({ps})" if ps else self.family
 
-    # -- serialization (external interface) -----------------------------------
-
-    def to_json(self) -> str:
-        if self.family == "custom":
-            raise UnsupportedFamily("custom weights are not JSON-serializable")
-        d = {"family": self.family}
-        d.update({k: v for k, v in self.params})
-        d["sector_half_angle"] = self.sector_half_angle
-        d["shift_c"] = self.shift_c
-        return json.dumps(d)
-
-    @staticmethod
-    def from_json(text: str) -> "WeightSpec":
-        d = json.loads(text)
-        family = d.pop("family")
-        kw = {}
-        for key in ("sector_half_angle", "shift_c"):
-            if key in d:
-                kw[key] = d.pop(key)
-        ctor = getattr(WeightSpec, family)
-        return ctor(**d, **kw)
-
 
 def moment_weight(w: WeightSpec) -> WeightSpec:
     """The index-shifted twin gamma(s-1), whose sequence values at 1, 2, ...
@@ -734,13 +704,6 @@ class GammaHatEntry:
     log_value: float
     argmax_rho: float
     mode: str                    # "analytic_continuation" | "asymptotic_form"
-    ratio_form_log: Optional[float] = None   # the alternative ((g_{n+1}/g_n))^{pi n/2}
-
-    @property
-    def value(self) -> float:
-        if self.log_value > LOG_FLOAT_MAX:
-            raise OverflowError("gamma-hat exceeds float range; use log_value")
-        return math.exp(self.log_value)
 
 
 def gamma_hat_numeric(w: WeightSpec, n: int) -> GammaHatEntry:
@@ -794,18 +757,7 @@ def gamma_hat_numeric(w: WeightSpec, n: int) -> GammaHatEntry:
         # the best probe wins at a peak on the edge lo, where the golden
         # section's last width costs |f'(lo)| times that width
         f_star, rho_star = fa, a
-    return GammaHatEntry(n, f_star, rho_star, mode, _ratio_form_log(w, n))
-
-
-def _ratio_form_log(w: WeightSpec, n: int) -> Optional[float]:
-    """The introduction's alternative form ((gamma_{n+1}/gamma_n))^{pi n / 2},
-    exposed for cross-checking only."""
-    if n < 1:
-        return None
-    try:
-        return 0.5 * math.pi * n * (w.moment_log(n + 1) - w.moment_log(n))
-    except DomainError:
-        return None
+    return GammaHatEntry(n, f_star, rho_star, mode)
 
 
 def gamma_hat_closed_log(family: str, params: dict, n: int) -> float:
@@ -823,13 +775,6 @@ def gamma_hat_closed_ratio(family: str, params: dict) -> Optional[dict]:
     ghat_n/ghat_{n+1} ~ c / (n^p log^q n); None without a closed form."""
     ratio = getattr(_FAMILIES.get(family), "ghat_ratio", None)
     return None if ratio is None else ratio(params)
-
-
-def gamma_hat_closed(family: str, params: dict, n: int) -> float:
-    lg = gamma_hat_closed_log(family, params, n)
-    if lg > LOG_FLOAT_MAX:
-        raise OverflowError("use gamma_hat_closed_log")
-    return math.exp(lg)
 
 
 def log_L_hat(w: WeightSpec, k: int) -> float:
@@ -854,19 +799,6 @@ class ReportEntry:
 class AdmissibilityReport:
     weight: str
     entries: dict
-
-    @property
-    def all_pass(self) -> bool:
-        return all(e.passed is not False for e in self.entries.values())
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "weight": self.weight,
-            "entries": {k: {"passed": e.passed, "detail": e.detail,
-                            "evidence": {kk: (list(vv) if isinstance(vv, (list, tuple, np.ndarray)) else vv)
-                                         for kk, vv in e.evidence.items()}}
-                        for k, e in self.entries.items()},
-        }, default=float)
 
 
 def admissibility_report(w: WeightSpec, rho_range=(None, 1e6),

@@ -8,9 +8,8 @@ import pytest
 from scipy.special import gammaln, loggamma
 
 from momentsum.applications import (EulerOperator, MultiSumPlan, Transseries,
-                                    euler_apply_P, euler_apply_V, euler_solve,
-                                    factor_weight_sequence,
-                                    iterated_log_weight, multisum,
+                                    euler_apply_P, euler_solve,
+                                    factor_weight_sequence, multisum,
                                     shift_laplace_check,
                                     transseries_decompose,
                                     transseries_synthesize_jets)
@@ -44,19 +43,19 @@ def dup_split_weight():
 
 class TestIteratedLog:
     def test_values(self):
-        w = iterated_log_weight(1)
+        w = WeightSpec.iterated_log(1)
         assert w.gamma(2) == pytest.approx(math.log(1 + math.e), rel=1e-12)
-        assert iterated_log_weight(2).gamma(1) == pytest.approx(1.0)
+        assert WeightSpec.iterated_log(2).gamma(1) == pytest.approx(1.0)
 
     def test_k1_is_beurling(self):
-        w = iterated_log_weight(1)
+        w = WeightSpec.iterated_log(1)
         for n in (1, 4, 9):
             assert w.gamma(n + 1) == pytest.approx(
                 math.log(n + math.e) ** n, rel=1e-12)
 
     def test_bad_k(self):
         with pytest.raises(DomainError):
-            iterated_log_weight(0)
+            WeightSpec.iterated_log(0)
 
 
 class TestFactorization:
@@ -198,9 +197,10 @@ class TestTransseries:
 
 
 class TestEulerOperator:
+    # V is P(V) with P = t: euler_apply_P((0, 1), ...)
     def test_apply_V_classical(self):
         a = FormalSeries((Fraction(1), Fraction(1), Fraction(1)))
-        va = euler_apply_V(a, W1)
+        va = euler_apply_P((0, 1), a, W1)
         assert va.coeffs == (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
 
     @pytest.mark.parametrize("coeffs", [
@@ -208,18 +208,23 @@ class TestEulerOperator:
         tuple(0.25 * k for k in range(1, 9))], ids=["exact", "float"])
     @pytest.mark.parametrize("w", [W1, W2], ids=["alpha1", "alpha2"])
     def test_V_power_is_P_of_monomial(self, coeffs, w):
+        # V applied three times is P(V) with P = t^3
         a = FormalSeries(coeffs)
-        assert euler_apply_V(a, w, 3) == euler_apply_P((0, 0, 0, 1), a, w)
+        v3 = a
+        for _ in range(3):
+            v3 = euler_apply_P((0, 1), v3, w)
+        assert v3.coeffs == pytest.approx(
+            euler_apply_P((0, 0, 0, 1), a, w).coeffs, rel=1e-13)
 
     def test_V_of_zero(self):
         z = FormalSeries((Fraction(0),) * 4)
-        assert all(c == 0 for c in euler_apply_V(z, W1).coeffs)
+        assert all(c == 0 for c in euler_apply_P((0, 1), z, W1).coeffs)
 
     def test_borel_intertwining_degree30(self):
         rng = random.Random(2)
         a = FormalSeries(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                                for _ in range(31)))
-        va = euler_apply_V(a, W1)
+        va = euler_apply_P((0, 1), a, W1)
         b_va = borel_coeffs(va, W1)
         b_a = borel_coeffs(a, W1)
         assert b_va.coeffs[0] == 0
@@ -229,9 +234,11 @@ class TestEulerOperator:
         rng = random.Random(4)
         a = FormalSeries(tuple(Fraction(rng.randint(-9, 9)) for _ in range(12)))
         b = FormalSeries(tuple(Fraction(rng.randint(-9, 9)) for _ in range(12)))
-        lhs = euler_apply_V(a + b, W1)
-        rhs = euler_apply_V(a, W1) + euler_apply_V(b, W1)
-        assert lhs.coeffs[:12] == rhs.coeffs[:12]
+        a_plus_b = FormalSeries(tuple(x + y
+                                      for x, y in zip(a.coeffs, b.coeffs)))
+        lhs = euler_apply_P((0, 1), a_plus_b, W1)
+        va, vb = euler_apply_P((0, 1), a, W1), euler_apply_P((0, 1), b, W1)
+        assert lhs.coeffs == tuple(x + y for x, y in zip(va.coeffs, vb.coeffs))
 
     def test_operator_screen(self):
         with pytest.raises(PZeroOnRay):
@@ -280,14 +287,6 @@ class TestEulerSolve:
     def test_p_zero_on_ray(self):
         with pytest.raises(PZeroOnRay):
             euler_solve((Fraction(1), Fraction(-1)), self.G, W1, 0.3)
-
-
-def test_plan_json_round_trip():
-    plan = MultiSumPlan([W2, W1], tol=1e-8, label="two-stage")
-    p2 = MultiSumPlan.from_json(plan.to_json())
-    assert [w.describe() for w in p2.weights] == \
-        [w.describe() for w in plan.weights]
-    assert p2.tol == 1e-8 and p2.label == "two-stage"
 
 
 def test_three_stage_plan_on_polynomials():

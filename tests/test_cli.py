@@ -57,6 +57,23 @@ class TestParsing:
         a, _ = parse_series(f"file:{p}")
         assert a.coeffs == (1, 2)
 
+    @pytest.mark.parametrize("text", [
+        '[1, 2]', '{"coeffs": [1, null]}', '{"coeffs": "12"}',
+        '{"coeffs": []}', '{"coeffs": [1, NaN]}',
+        '{"coeffs": ["1", "1/0"], "exact": true}'],
+        ids=["list", "null", "string", "empty", "nan", "zero_denominator"])
+    def test_series_file_rejects_malformed_coeffs(self, capsys, tmp_path,
+                                                   text):
+        # each command that reads a series file exits 2 with a config error
+        p = tmp_path / "s.json"
+        p.write_text(text)
+        for cmd in ("sum", "multisum", "euler"):
+            code, out, err = _run_main(capsys, [
+                cmd, "--weight", "gamma_power:alpha=1", "--series",
+                f"file:{p}", "--x", "0.5"])
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"] == "config"
+
     def test_config_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             RunConfig.from_dict({"command": "sum", "weight": "x", "bogus": 1})

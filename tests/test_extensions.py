@@ -10,10 +10,8 @@ from momentsum.carleman import SequenceM
 from momentsum.errors import JetUnavailable, OrderingError, StepTooLarge
 from momentsum.extensions import (NeighborhoodSet, PlanarField, TaylorField,
                                   cauchy_pompeiu_reconstruct, dbar_measure,
-                                  membership_raster_csv,
-                                  neighborhood_membership,
-                                  project_to_interval, split_plus_minus,
-                                  taylor_extension_PN, v_set_separation)
+                                  membership_raster_csv, project_to_interval,
+                                  split_plus_minus, taylor_extension_PN)
 from momentsum.transforms import FunctionHandle
 from momentsum.weights import WeightSpec
 
@@ -50,13 +48,6 @@ class TestTaylorExtension:
     def test_jet_unavailable(self):
         with pytest.raises(JetUnavailable):
             taylor_extension_PN(EXP_FIELD, 0.5, 20)
-
-    def test_grid_mode_snaps(self):
-        xs = np.linspace(0, 1, 11)
-        jets = np.array([[math.exp(x)] * 4 for x in xs])
-        tf = TaylorField.from_grid((0, 1), xs, jets)
-        assert tf.validate_grid()
-        assert taylor_extension_PN(tf, 0.3, 2) == pytest.approx(math.exp(0.3))
 
 
 class TestDbar:
@@ -108,14 +99,14 @@ class TestNeighborhoods:
         for k in (5, 10, 20):
             ns = _mk_vset(k)
             for x in (0.0, 0.4, 1.0):
-                assert neighborhood_membership(ns, x)
+                assert ns.contains(x)
 
     def test_v_defining_inequality(self):
         ns = _mk_vset(8)
         from momentsum.weights import log_L_hat, moment_weight
         Lh = math.exp(log_L_hat(moment_weight(W1), 8))
         z = 1.0 + 0.5j * (ns.eta / Lh)
-        assert neighborhood_membership(ns, z)
+        assert ns.contains(z)
 
     def test_nesting(self):
         rng = np.random.default_rng(23)
@@ -127,26 +118,6 @@ class TestNeighborhoods:
             # membership can only be lost as k grows (sets shrink)
             for a, b in zip(inner, inner[1:]):
                 assert a or not b
-
-    def test_separation_bound(self):
-        m1, b1 = v_set_separation(_mk_vset(8), _mk_vset(9))
-        assert m1 >= 0.9 * abs(b1)
-
-    def test_u_set_beurling(self):
-        # the U construction targets slowly growing companion profiles
-        wb = WeightSpec.iterated_log(1)
-        M = SequenceM.factorial_times_log(1.0)
-        u = NeighborhoodSet("U", 40, 1.1, 2.0, wb, M.logm, (0.0, 1.0))
-        assert u.contains(0.5)
-        assert u.contains(0.5 + 0.1j)     # inside the sector wedge
-        assert not u.contains(0.5 + 0.9j)
-
-    def test_u_set_classical_rejected(self):
-        from momentsum.errors import DomainError
-        M = SequenceM.factorial_times_log(1.0)
-        u = NeighborhoodSet("U", 8, 1.1, 2.0, W1, M.logm, (0.0, 1.0))
-        with pytest.raises(DomainError):
-            u.contains(0.5)
 
     def test_omega_k(self):
         M = SequenceM.factorial_times_log(1.0)
@@ -227,14 +198,6 @@ class TestCauchyPompeiu:
                       + 1j * (fplus(z0 + 1j * h) - fplus(z0 - 1j * h)) / (2 * h))
         assert abs(dbar) < 1e-6
 
-    def test_field_csv(self, tmp_path):
-        fld = PlanarField.sample(lambda w: w.real, (-1, 1, -1, 1), 4, 3)
-        path = fld.to_csv(tmp_path / "field.csv", "note")
-        rows = Path(path).read_text().splitlines()
-        assert rows[0] == "# note"
-        assert rows[1] == "x,y,re,im"
-        assert len(rows) == 2 + 12
-
 
 def test_profiles_are_taken_once_per_set(monkeypatch):
     # Lhat(k) is a golden-section search and depends only on k and the
@@ -247,28 +210,21 @@ def test_profiles_are_taken_once_per_set(monkeypatch):
     ns = _mk_vset(8)
     for z in (0.3, 0.5 + 0.01j, 1.2, -0.1j):
         ns.contains(z)
-    ns.boundary_points(40)
     assert len(calls) == 1
     assert ns.tube_radius() == 1.0 / (2.0 * math.exp(
         SequenceM.factorial_times_log(1.0).logm(8) / 8))
 
 
-class TestNestingAcrossKinds:
-    def test_u_and_omega_nesting_probes(self):
-        rng = np.random.default_rng(31)
-        wb = WeightSpec.iterated_log(1)
-        M = SequenceM.factorial_times_log(1.0)
-        u_sets = [NeighborhoodSet("U", k, 1.1, 2.0, wb, M.logm, (0.0, 1.0))
-                  for k in (30, 42, 60)]
-        om_sets = [NeighborhoodSet("Omega_k", k, 1.0, 2.0, W1, M.logm)
-                   for k in (6, 9, 12)]
-        pts = rng.uniform(-0.6, 1.4, (1000, 2)) * np.array([1.0, 0.6])
-        for x, y in pts:
-            z = complex(x, y)
-            for sets in (u_sets, om_sets):
-                flags = [ns.contains(z) for ns in sets]
-                for a, b in zip(flags, flags[1:]):
-                    assert a or not b   # sets shrink as k grows
+def test_omega_k_nesting_probes():
+    rng = np.random.default_rng(31)
+    M = SequenceM.factorial_times_log(1.0)
+    om_sets = [NeighborhoodSet("Omega_k", k, 1.0, 2.0, W1, M.logm)
+               for k in (6, 9, 12)]
+    pts = rng.uniform(-0.6, 1.4, (1000, 2)) * np.array([1.0, 0.6])
+    for x, y in pts:
+        flags = [ns.contains(complex(x, y)) for ns in om_sets]
+        for a, b in zip(flags, flags[1:]):
+            assert a or not b   # sets shrink as k grows
 
 
 def test_singular_cell_on_split_axis():

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from momentsum.errors import TruncationError, UnsupportedFamily
-from momentsum.kernels import (EntireE, KernelK, OmegaDomain, K_closed,
-                               _LOG_TINY, kernel_probe_csv,
-                               verify_kernel_lemma)
+from momentsum.errors import TruncationError
+from momentsum.kernels import (EntireE, KernelK, OmegaDomain, _LOG_TINY,
+                               kernel_probe_csv, verify_kernel_lemma)
 from momentsum.weights import (WeightSpec, eval_eps, gamma_hat_numeric,
                                moment_weight, solve_saddle)
 
@@ -75,12 +74,6 @@ class TestEAsymptotic:
 
 
 class TestKernel:
-    def test_closed_textbook_form(self):
-        assert K_closed(W1, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-        assert K_closed(W2, 0.0) == pytest.approx(1.0)
-        with pytest.raises(UnsupportedFamily):
-            K_closed(WeightSpec.log_power(1.0), 1.0)
-
     def test_closed_moments_alpha1(self):
         for n in range(11):
             val, _ = quad(lambda t, n=n: t ** n * math.exp(-t), 0, 60,
@@ -593,6 +586,16 @@ def test_log_abs_stays_finite_where_kernel_underflows():
     assert m.member and math.isfinite(m.tail_slope)
 
 
+def _theta_rows(k, ts, n_max):
+    """theta^j K(t), j <= n_max, theta = t d/dt, and their errors, as arrays
+    of shape (n_max + 1, len(ts)): the rows of the saddle-line sums that
+    verify_K1_deriv reads."""
+    _, log_factor, total, err = k._line_sums(ts, k.mellin_tol, m=n_max)
+    with np.errstate(under="ignore"):
+        factor = np.exp(log_factor)[:, None]
+        return (factor * total).T, (np.abs(factor) * err).T
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
 def test_theta_derivatives_match_closed_derivatives(alpha):
     # theta^j K(e^u) = d^j/du^j K_1(u), K_1(u) = alpha e^((alpha-1)u)
@@ -602,8 +605,8 @@ def test_theta_derivatives_match_closed_derivatives(alpha):
     us = np.linspace(-0.5, 2.5, 13)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v, err = KernelK(WeightSpec.gamma_power(alpha)).theta_derivatives(
-            np.exp(us), 6)
+        v, err = _theta_rows(KernelK(WeightSpec.gamma_power(alpha)),
+                             np.exp(us), 6)
     assert v.shape == err.shape == (7, len(us))
 
     def K1(u):
@@ -626,7 +629,7 @@ def test_theta_row_zero_is_mellin_bit_for_bit():
     for w in (W2, WeightSpec.iterated_log(1), _product_weight(W2, W2)):
         k = KernelK(w)
         ts = np.geomspace(0.05, 40.0, 11)
-        v, err = k.theta_derivatives(ts, 4)
+        v, err = _theta_rows(k, ts, 4)
         m, merr = k.mellin(ts)
         assert np.array_equal(v[0], m) and np.array_equal(err[0], merr)
 
