@@ -39,15 +39,3 @@ for z in (0.45, 0.45 + 0.1j, 0.45 + 0.4j, 1.2):
     m = dom2.membership(z)
     inside = abs(z) > 0 and (z ** -2).real >= 1.0
     print(f"  z={z!s:12s} member={str(m.member):5s} analytic rule={inside}")
-
-# raster for external plotting
-import tempfile, os
-from momentsum.extensions import NeighborhoodSet
-path = os.path.join(tempfile.gettempdir(), "omega_raster.csv")
-from momentsum.carleman import SequenceM
-ns = NeighborhoodSet("Omega_k", 8, 1.0, 2.0, w1,
-                     SequenceM.factorial_times_log(1.0).logm)
-from momentsum.extensions import membership_raster_csv
-membership_raster_csv(ns, (-0.3, 1.3, -0.6, 0.6), 60, 40, path,
-                      "Omega_k raster, classical weight")
-print("\nmembership raster written to", path)

@@ -8,9 +8,9 @@ the inclusion theorems assert to exist.
 
 import math
 
-from momentsum import (SequenceM, WeightSpec, associated_weight_h,
-                       check_regularity, denjoy_carleman_classify,
-                       fit_class_constant, regular_sequence_facts)
+from momentsum import (SequenceM, WeightSpec, check_regularity,
+                       denjoy_carleman_classify, fit_class_constant,
+                       regular_sequence_facts)
 from momentsum.transforms import FunctionHandle
 
 print("regularity (M_n = n! m_n; log-convexity of m, monotone m^{1/n}):")
@@ -41,14 +41,6 @@ fit = fit_class_constant("A", f, M=SequenceM.factorial_power(1.0),
                          weight=WeightSpec.gamma_power(1.0), eta=1.1,
                          interval=(0.0, 3.0), n_max=8)
 print("  per-n profile:", {n: round(c, 3) for n, c in fit.per_n.items()})
-
-print("\nDynkin's associated weight h(r) = inf m_n r^n for m_n = n!:")
-M = SequenceM(lambda n: 2 * math.lgamma(n + 1), label="m=n!")
-for r in (0.02, 0.05, 0.2):
-    h, arg, _ = associated_weight_h(M, r)
-    stirling = math.exp(-1 / r) * math.sqrt(2 * math.pi / r)
-    print(f"  r={r}: h={h:.4e}  (Stirling scale {stirling:.4e}, "
-          f"attained at n={arg})")
 
 print("\ncomparability witnesses of regular sequences:")
 for M in (SequenceM.factorial_times_log(1.0),

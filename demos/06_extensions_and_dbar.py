@@ -1,16 +1,13 @@
-"""Almost-holomorphic extensions and the Cauchy-Pompeiu inversion.
+"""Almost-holomorphic extensions off an interval.
 
 P_N extends f off the interval from its Taylor jets at the projection; its
-dbar-defect is controlled by the jet envelope and shrinks like dist^N.  A
-sampled dbar field can be inverted back to the function, and splitting the
-integral at the real axis yields the half-plane analytic pieces.
+dbar-defect is controlled by the jet envelope and shrinks like dist^N.
 """
 
 import cmath
 import math
 
-from momentsum import (PlanarField, TaylorField, cauchy_pompeiu_reconstruct,
-                       dbar_measure, split_plus_minus, taylor_extension_PN)
+from momentsum import TaylorField, dbar_measure, taylor_extension_PN
 from momentsum.transforms import FunctionHandle
 
 f = FunctionHandle(lambda z: cmath.exp(z), lambda z, n: cmath.exp(z),
@@ -30,17 +27,3 @@ for N in (1, 3, 5, 8):
     tele = 0.5 * math.exp(0.5) * 0.2 ** N / math.factorial(N)
     print(f"  N={N}: |dbar P_N| = {got:.3e}   (1/2)|f^(N+1)| dist^N/N! = "
           f"{tele:.3e}")
-
-print("\nCauchy-Pompeiu: reconstruct conj(z) from dbar(conj z) = 1 "
-      "on a disk:")
-fld = PlanarField.sample(lambda w: 1.0 if abs(w) < 0.8 else 0.0,
-                         (-1, 1, -1, 1), 120, 120)
-for zz in (0.1 + 0.2j, -0.3 + 0.1j):
-    got = cauchy_pompeiu_reconstruct(fld, zz)
-    print(f"  z={zz}: got {got:.6f}, expected {zz.conjugate()}")
-
-print("\nhalf-plane split (upper + lower = full):")
-fp, fm = split_plus_minus(fld, 0.1 + 0.2j)
-full = cauchy_pompeiu_reconstruct(fld, 0.1 + 0.2j)
-print(f"  f+ = {fp:.6f}, f- = {fm:.6f}, sum error "
-      f"{abs(fp + fm - full):.1e}")

@@ -1,12 +1,10 @@
-"""Iterated summation, weight factorization, the shift identity, and
-Euler-type operator equations."""
+"""Iterated summation, the shift identity, and Euler-type operator
+equations."""
 
-import math
 from fractions import Fraction
 
-from momentsum import (FormalSeries, MultiSumPlan, SequenceM, WeightSpec,
-                       euler_apply_P, euler_solve, factor_weight_sequence,
-                       moment_sum, multisum, shift_laplace_check)
+from momentsum import (FormalSeries, MultiSumPlan, WeightSpec, euler_apply_P,
+                       euler_solve, moment_sum, multisum, shift_laplace_check)
 from momentsum.transforms import FunctionHandle
 
 w1 = WeightSpec.gamma_power(1.0)
@@ -17,15 +15,6 @@ p = FormalSeries(tuple(Fraction(c) for c in (2, -1, 0, 3)))
 plan = MultiSumPlan([w2, w2], continuation="poly")
 r = multisum(p, plan, 0.4)
 print(f"  plan (a=2, a=2): got {r.value:.10f}, exact {p.eval(0.4):.10f}")
-
-print("\nfactoring a quasianalytic sequence into admissible stages:")
-ws, stages = factor_weight_sequence(SequenceM.factorial_times_log(1.0), 2,
-                                    n_max=50)
-for j, wspec in enumerate(ws, 1):
-    v = math.exp(wspec.log_gamma(21.0) / 20)
-    print(f"  gamma_{j}(21)^(1/20) = {v:.4f}")
-print("  (stage 1 grows like the log family: log(20+e) =",
-      f"{math.log(20 + math.e):.4f})")
 
 print("\nthe resurgent shift identity L(tau_a F) = e^(-a/x) LF:")
 F = FunctionHandle(lambda t: 1.0 / (1.0 + t) if t >= 0 else 0.0)

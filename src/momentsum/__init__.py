@@ -11,25 +11,21 @@ pipelines (applications).
 
 __version__ = "0.1.0"
 
-from .weights import (AdmissibilityReport, GammaHatEntry, SaddlePoint,
-                      WeightSpec, admissibility_report, eval_eps,
+from .weights import (GammaHatEntry, SaddlePoint, WeightSpec, eval_eps,
                       gamma_hat_closed_log, gamma_hat_numeric, moment_weight,
-                      rho_of_r, solve_saddle)
+                      solve_saddle)
 from .kernels import (EntireE, KernelK, OmegaDomain, kernel_probe_csv,
                       verify_kernel_lemma)
 from .transforms import (FormalSeries, FunctionHandle, PadeApproximant,
                          SummationResult, borel_coeffs, borel_contour,
                          laplace_derivative_n, laplace_quadrature, moment_sum,
                          pade_continue, remainder_Rn)
-from .carleman import (ClassFit, SequenceM, associated_weight_h,
-                       check_regularity, denjoy_carleman_classify,
-                       exp_change_of_variables, fit_class_constant,
-                       regular_sequence_facts, stirling_numbers)
-from .extensions import (NeighborhoodSet, PlanarField, TaylorField,
-                         cauchy_pompeiu_reconstruct, dbar_measure,
-                         project_to_interval, split_plus_minus,
+from .carleman import (ClassFit, SequenceM, check_regularity,
+                       denjoy_carleman_classify, exp_change_of_variables,
+                       fit_class_constant, regular_sequence_facts,
+                       stirling_numbers)
+from .extensions import (TaylorField, dbar_measure, project_to_interval,
                          taylor_extension_PN)
-from .applications import (EulerOperator, EulerSolution, MultiSumPlan,
-                           Transseries, euler_apply_P, euler_solve,
-                           factor_weight_sequence, multisum,
+from .applications import (EulerSolution, MultiSumPlan, Transseries,
+                           euler_apply_P, euler_solve, multisum,
                            shift_laplace_check, transseries_decompose)

@@ -1,6 +1,5 @@
-"""Pipelines built on the transforms: multi-summation, weight factorization,
-the resurgent shift identity, transseries decomposition, and Euler-type
-operator equations."""
+"""Pipelines built on the transforms: multi-summation, the resurgent shift
+identity, transseries decomposition, and Euler-type operator equations."""
 
 from __future__ import annotations
 
@@ -12,74 +11,12 @@ from typing import List, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
-from .carleman import SequenceM, check_regularity, denjoy_carleman_classify
-from .errors import (DomainError, MomentSumError, NonQuasianalytic,
-                     OrderingError, PZeroOnRay)
+from .errors import DomainError, MomentSumError, OrderingError, PZeroOnRay
 from .kernels import KernelK
 from .transforms import (FormalSeries, FunctionHandle, SummationResult,
                          _horner, borel_coeffs, laplace_quadrature, moment_sum)
 from .weights import WeightSpec, eval_eps
-
-# ---------------------------------------------------------------------------
-# weights for iterated summation
-# ---------------------------------------------------------------------------
-
-
-def _tabulated_weight(log_values, label: str) -> WeightSpec:
-    """Custom weight from log gamma values at s = 1..len(values)."""
-    s_knots = np.arange(1, len(log_values) + 1, dtype=float)
-    spline = CubicSpline(s_knots, np.asarray(log_values, dtype=float))
-
-    def ev(s):
-        sr = float(np.real(s))
-        if sr < 1.0 or sr > s_knots[-1]:
-            raise DomainError(f"tabulated weight evaluable on [1, {s_knots[-1]:.0f}]")
-        return float(spline(sr))
-
-    return WeightSpec.custom(ev, min_real=1.0, rho0=4.0,
-                             complex_capable=False,
-                             max_real=float(s_knots[-1]), label=label)
-
-
-def factor_weight_sequence(M: SequenceM, k: int, n_max: int = 60):
-    """Factor a quasianalytic regular M into k tabulated weights via
-    gamma_j(n+1)^{1/n} = prod_{i<=n} (1 - M_i^{(j-1)}/M_{i+1}^{(j-1)})^{-1},
-    M^{(j-1)} = M^{(j)} gamma_j.
-
-    Returns (weights, stages) where stages[j] are the log values of M^{(j)};
-    the reconstruction identity M^{(j)} gamma_j = M^{(j-1)} is exact by
-    construction.
-    """
-    verdict = denjoy_carleman_classify(M).verdict
-    if verdict == "inconclusive":
-        verdict = denjoy_carleman_classify(M, "numeric").verdict
-    if verdict != "quasianalytic":
-        raise NonQuasianalytic(
-            f"factorization needs a quasianalytic sequence, got {verdict}")
-    if not check_regularity(M, max(n_max, 20)).regular:
-        raise NonQuasianalytic("factorization needs a regular sequence")
-
-    stages = [[M.logM(n) for n in range(n_max + 2)]]
-    weights = []
-    for j in range(1, k + 1):
-        prev = stages[-1]
-        # log gamma_j(n+1) = n * sum_{i=1..n} -log(1 - M_i/M_{i+1})
-        csum = 0.0
-        log_gamma = [0.0]                      # gamma_j(1) = 1
-        for n in range(1, n_max + 1):
-            r = math.exp(prev[n] - prev[n + 1])
-            if not 0.0 < r < 1.0:
-                raise DomainError(f"ratio M_{n}/M_{n+1}={r:.3g} outside (0,1)")
-            csum += -math.log1p(-r)
-            log_gamma.append(n * csum)
-        weights.append(_tabulated_weight(log_gamma, f"factor[{j}of{k}]"))
-        # M^{(j)}_n = M^{(j-1)}_n / gamma_j(n+1); log_gamma[i] = log gamma_j(i+1)
-        nxt = [prev[n] - log_gamma[min(n, n_max)] for n in range(n_max + 2)]
-        stages.append(nxt)
-    return weights, stages
-
 
 # ---------------------------------------------------------------------------
 # multi-summability
@@ -268,20 +205,6 @@ def transseries_synthesize_jets(blocks, exponents, n_max: int):
 # Euler-type operator equations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EulerOperator:
-    """P(V) with V x^n = (mu_{n+1}/mu_n) x^{n+1} (the coefficient-shift
-    operator intertwined with multiplication by t on the Borel side)."""
-
-    weight: WeightSpec
-    poly: tuple                  # p_0 .. p_d
-
-    def __post_init__(self):
-        if not self.poly or all(p == 0 for p in self.poly):
-            raise DomainError("operator polynomial must be nonzero")
-        _screen_positive_ray(self.poly)
-
-
 def _screen_positive_ray(poly):
     """Reject polynomials with zeros on [0, inf): sign screen, then roots."""
     p = [float(v) for v in poly]
@@ -305,7 +228,9 @@ def _mu_ratio(w: WeightSpec, m: int, j: int):
 
 
 def euler_apply_P(P, a: FormalSeries, w: WeightSpec) -> FormalSeries:
-    """P(V) a, truncated to len(a) + deg P coefficients."""
+    """P(V) a, truncated to len(a) + deg P coefficients, where
+    V x^n = (mu_{n+1}/mu_n) x^{n+1} is the coefficient shift intertwined with
+    multiplication by t on the Borel side."""
     acc = [0] * (len(a) + len(P) - 1)
     for j, pj in enumerate(P):
         if pj == 0:

@@ -136,9 +136,6 @@ class SequenceM:
             self._cache[n] = float(self.log_M(n))
         return self._cache[n]
 
-    def logm(self, n: int) -> float:
-        return self.logM(n) - gammaln(n + 1.0)
-
     def logm_upto(self, n_max: int) -> np.ndarray:
         """log m_0 .. log m_{n_max} as one array, through the cache."""
         return (np.array([self.logM(n) for n in range(n_max + 1)])
@@ -403,22 +400,8 @@ def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
 
 
 # ---------------------------------------------------------------------------
-# associated weight and regular-sequence facts
+# regular-sequence facts
 # ---------------------------------------------------------------------------
-
-def associated_weight_h(M: SequenceM, r: float, n_max: Optional[int] = None):
-    """Dynkin's h(r) = inf_{n >= 0} m_n r^n over the cached range.
-
-    Returns (h, argmin, at_cap); h underflows to 0.0.
-    """
-    if r <= 0:
-        raise DomainError("h(r) needs r > 0")
-    n_max = n_max or M.n_max
-    vals = M.logm_upto(n_max) + np.arange(n_max + 1) * math.log(r)
-    arg = int(np.argmin(vals))
-    best = float(vals[arg])
-    return (math.exp(best) if best > -745 else 0.0), arg, arg == n_max
-
 
 @dataclass
 class RegularFactsReport:

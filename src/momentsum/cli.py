@@ -121,6 +121,23 @@ def parse_series(text: str, length: int = 24) -> tuple:
     raise ValueError(f"unknown series {text!r} (euler|cauchy|file:PATH)")
 
 
+def parse_operator(text: str) -> tuple:
+    """Comma-separated P coefficients, constant first, as Fractions;
+    ValueError (a config error) for a zero denominator or a value outside
+    the float range."""
+    try:
+        P = tuple(Fraction(v.strip()) for v in text.split(","))
+    except ZeroDivisionError:
+        raise ValueError(f"operator {text!r} has a zero denominator") from None
+    try:
+        for p in P:
+            float(p)
+    except OverflowError:
+        raise ValueError(f"operator {text!r} has a coefficient outside the "
+                         "float range") from None
+    return P
+
+
 def _header(cfg: RunConfig) -> str:
     return f"momentsum v{__version__} config: {json.dumps(cfg.resolved())}"
 
@@ -294,7 +311,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 def _cmd_euler(cfg: RunConfig) -> int:
     w = parse_weight(cfg.weights[0])
-    P = tuple(Fraction(v.strip()) for v in cfg.operator.split(","))
+    P = parse_operator(cfg.operator)
     if cfg.series.startswith("file:"):
         g = FormalSeries.from_json(Path(cfg.series[5:]).read_text())
     else:
@@ -314,6 +331,7 @@ def _cmd_classes(cfg: RunConfig) -> int:
     K = KernelK(w)
     if cfg.function == "euler_function":
         from .transforms import laplace_derivative_n, laplace_quadrature
+        w.moment_log(0)   # fail on mu_0 before the costly fit, as class B
         Fb = FunctionHandle(lambda t: 1.0 / (1.0 + t),
                             lambda t, n: (-1) ** n * math.factorial(n)
                             / (1.0 + t) ** (n + 1), growth_eta=0.0)

@@ -61,20 +61,12 @@ class OrderingError(MomentSumError):
     """Transseries exponents not strictly increasing."""
 
 
-class NonQuasianalytic(MomentSumError):
-    """Operation requires a quasianalytic input sequence."""
-
-
 class PZeroOnRay(MomentSumError):
     """Operator polynomial vanishes somewhere on [0, infinity)."""
 
 
 class StepTooLarge(MomentSumError):
     """Finite-difference step too large relative to dist(z, J)."""
-
-
-class SingularCell(MomentSumError):
-    """Evaluation point sits on the singular lattice cell."""
 
 
 class JetUnavailable(MomentSumError):

@@ -470,14 +470,6 @@ class WeightSpec:
             s = complex(s)
         return self.record.log_gamma(self._p, s)
 
-    def gamma(self, s):
-        lg = self.log_gamma(s)
-        if np.real(lg) > LOG_FLOAT_MAX:
-            raise OverflowError(
-                "gamma(s) exceeds float range; use log_gamma instead")
-        out = np.exp(lg)
-        return out
-
     def moment_log(self, n: int) -> float:
         """log mu_n where mu_n = gamma(n) is the n-th kernel moment."""
         if n < 0:
@@ -671,18 +663,6 @@ def solve_saddle(w: WeightSpec, z, tol: float = 1e-10) -> SaddlePoint:
     return SaddlePoint(z, s, res)
 
 
-def rho_of_r(w: WeightSpec, r: float) -> float:
-    """Invert r = L(rho) e^{eps(rho)} on the ray (residual below 1e-9)."""
-    if r <= 0:
-        raise DomainError("r must be positive")
-    rho = solve_saddle(w, r).s_z.real
-    resid = abs(math.exp(_profile(w, rho)) - r) / r
-    if resid > 1e-9:
-        raise NoConvergence("rho(r) residual too large", last_iterate=rho,
-                            residual=resid)
-    return rho
-
-
 # ---------------------------------------------------------------------------
 # gamma-hat
 # ---------------------------------------------------------------------------
@@ -782,102 +762,3 @@ def log_L_hat(w: WeightSpec, k: int) -> float:
     the companion sequence."""
     ent = gamma_hat_numeric(w, k)
     return (ent.log_value - gammaln(k + 1.0)) / k
-
-
-# ---------------------------------------------------------------------------
-# admissibility report
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ReportEntry:
-    passed: Optional[bool]        # None = inconclusive / not applicable
-    detail: str
-    evidence: dict
-
-
-@dataclass
-class AdmissibilityReport:
-    weight: str
-    entries: dict
-
-
-def admissibility_report(w: WeightSpec, rho_range=(None, 1e6),
-                         grid_size: int = 200) -> AdmissibilityReport:
-    """Grid evidence for the four admissibility conditions.
-
-    (A) partial integrals of eps(rho)/rho grow decade over decade without a
-        plateau; (B) eps(lambda rho)/eps(rho) -> 1 for lambda in [1/2, 2];
-    (C) the limit of eps exists and is < 2; (D) when the limit is 0, eps is
-        eventually decreasing with |eps'(rho)| >= e^{-delta rho}.
-    """
-    lo = rho_range[0] or max(w.rho0, w.min_real + 2.0)
-    hi = rho_range[1]
-    if math.isfinite(w.max_real):
-        hi = min(hi, (w.max_real - 1.0) / 2.05)  # headroom for the lambda probes
-    rho = np.geomspace(lo, hi, grid_size)
-    eps = np.array([float(np.real(eval_eps(w, r))) for r in rho])
-    entries = {}
-
-    # (A) divergence proxy: decade increments of int eps/rho drho = int eps dlog(rho)
-    dlog = np.diff(np.log(rho))
-    inc = 0.5 * (eps[1:] + eps[:-1]) * dlog
-    cum = np.concatenate([[0.0], np.cumsum(inc)])
-    decades = np.linspace(0, len(rho) - 1, 7).astype(int)
-    dec_inc = np.diff(cum[decades])
-    a_pass = bool(np.all(dec_inc > 1e-4 * max(cum[-1], 1e-12)) and cum[-1] > 0)
-    entries["A_divergence"] = ReportEntry(
-        a_pass, "partial integrals of eps/rho grow across decades",
-        {"decade_increments": dec_inc, "total": cum[-1]})
-
-    # (B) slow variation
-    lam = np.array([0.5, 0.75, 1.5, 2.0])
-    probes = rho[[grid_size // 4, grid_size // 2, 3 * grid_size // 4, -1]]
-    dev = []
-    for r in probes:
-        e0 = float(np.real(eval_eps(w, r)))
-        d = max(abs(float(np.real(eval_eps(w, l * r))) / e0 - 1.0) for l in lam)
-        dev.append(d)
-    b_pass = bool(all(dev[i + 1] <= dev[i] + 1e-3 for i in range(len(dev) - 1))
-                  and dev[-1] < 0.5)
-    entries["B_slow_variation"] = ReportEntry(
-        b_pass, "max_{lambda in [1/2,2]} |eps(lambda rho)/eps(rho)-1| decreasing",
-        {"probe_rho": probes, "max_deviation": dev})
-
-    # (C) limit < 2: extrapolate eps linearly in 1/log(rho)
-    x = 1.0 / np.log(rho[-grid_size // 3:])
-    y = eps[-grid_size // 3:]
-    slope, inter = np.polyfit(x, y, 1)
-    limit = float(inter)
-    c_pass = bool(limit < 2.0 - 1e-9)
-    entries["C_limit"] = ReportEntry(
-        c_pass, f"estimated limit of eps = {limit:.4g} (< 2 required)",
-        {"limit_estimate": limit, "tail_eps": y[-3:]})
-
-    # (D) only when the limit is ~0
-    if abs(limit) < 0.05:
-        tail = slice(grid_size // 2, None)
-        decreasing = bool(np.all(np.diff(eps[tail]) <= 1e-12))
-        h = rho * 1e-5
-        epsp = np.array([
-            (float(np.real(eval_eps(w, r + hh))) - float(np.real(eval_eps(w, r - hh)))) / (2 * hh)
-            for r, hh in zip(rho[tail], h[tail])])
-        deltas = [0.5, 0.1, 0.01]
-        ok = {}
-        for d in deltas:
-            mask = d * rho[tail] < 700
-            ok[d] = bool(np.all(np.abs(epsp[mask]) >= np.exp(-d * rho[tail][mask])))
-        d_pass = bool(decreasing and all(ok.values()))
-        entries["D_zero_limit"] = ReportEntry(
-            d_pass, "eps eventually decreasing and |eps'| >= e^{-delta rho}",
-            {"decreasing": decreasing, "eps_prime_bound_ok": ok})
-    else:
-        entries["D_zero_limit"] = ReportEntry(
-            None, "not applicable (limit of eps is nonzero)", {"limit": limit})
-
-    # boundedness/positivity of eps on the grid (definition precondition)
-    entries["positivity"] = ReportEntry(
-        bool(np.all(eps > 0) and np.all(np.isfinite(eps))),
-        "eps positive and bounded on the grid",
-        {"min": float(eps.min()), "max": float(eps.max())})
-
-    return AdmissibilityReport(w.describe(), entries)

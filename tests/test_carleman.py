@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from momentsum.carleman import (SequenceM, associated_weight_h,
-                                check_regularity, denjoy_carleman_classify,
+from momentsum.carleman import (SequenceM, check_regularity,
+                                denjoy_carleman_classify,
                                 exp_change_of_variables, fit_class_constant,
                                 regular_sequence_facts, stirling_numbers)
 from momentsum.errors import NonPositivePoint
@@ -246,29 +246,6 @@ class TestClassFits:
         assert small.C <= big.C + 1e-12
 
 
-class TestAssociatedWeight:
-    def test_trivial_sequence(self):
-        M = SequenceM.factorial_power(1.0)   # m_n = 1
-        h, arg, cap = associated_weight_h(M, 2.0)
-        assert h == 1.0 and arg == 0
-        h, arg, cap = associated_weight_h(M, 0.5)
-        assert cap   # inf r^n realized at the range cap, flagged
-
-    def test_factorial_m_matches_stirling(self):
-        M = SequenceM(lambda n: 2 * gammaln(n + 1.0), label="m=n!")
-        r = 0.05
-        h, arg, cap = associated_weight_h(M, r)
-        stirling = math.exp(-1.0 / r) * math.sqrt(2 * math.pi / r)
-        assert not cap
-        assert abs(h - stirling) / stirling < 0.10
-        assert arg == pytest.approx(1.0 / r, abs=2)
-
-    def test_monotone(self):
-        M = SequenceM(lambda n: 2 * gammaln(n + 1.0), label="m=n!")
-        hs = [associated_weight_h(M, r)[0] for r in (0.01, 0.1, 1.0, 5.0)]
-        assert all(a <= b for a, b in zip(hs, hs[1:]))
-
-
 class TestRegularFacts:
     def test_trivial_m(self):
         rf = regular_sequence_facts(SequenceM.factorial_power(1.0), n_max=80)
@@ -296,7 +273,7 @@ class TestRegularFacts:
     def test_witnesses_equal_scalar_loops(self, M, C1, n_max):
         # reference: the witnesses as scalar loops over (k, n); the array
         # form does the same arithmetic, so the floats are equal
-        lm = [M.logm(n) for n in range(n_max + 1)]
+        lm = M.logm_upto(n_max).tolist()
         v = [lm[n] / n if n else 0.0 for n in range(n_max + 1)]
         C2 = max(0.0, max((v[k] - lm[1]) / math.log(k)
                           for k in range(2, n_max + 1)))

@@ -168,6 +168,16 @@ class TestExitCodes:
     def test_missing_command_is_2(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("operator", ["1/0", "1,1e400"],
+                             ids=["zero_denominator", "overflow"])
+    def test_euler_operator_out_of_range_is_2(self, capsys, operator):
+        # an operator that is no polynomial of floats is a config error
+        code, out, err = _run_main(capsys, [
+            "euler", "--weight", "gamma_power:alpha=1", "--operator",
+            operator, "--x", "0.3"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "config"
+
 
 class TestDeterminismAndConfig:
     def test_repeat_runs_identical(self, capsys):
@@ -259,11 +269,13 @@ def test_console_script_subprocess():
 
 
 def test_package_never_imports_mpmath():
-    # mpmath is for the tests and the bench; the package runs without it
-    code = ("import sys, momentsum.cli\n"
+    # mpmath is for the tests and the bench; the package runs without it,
+    # and without scipy.interpolate, which it does not use
+    code = ("import sys, momentsum, momentsum.cli, momentsum.extensions\n"
             "rc = momentsum.cli.main(['sum', '--weight', 'gamma_power:alpha=1',"
             " '--series', 'euler', '--x', '1.0'])\n"
-            "assert rc == 0 and 'mpmath' not in sys.modules\n")
+            "assert rc == 0 and 'mpmath' not in sys.modules\n"
+            "assert 'scipy.interpolate' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -311,3 +323,13 @@ def test_classes_b_checks_moments_before_the_fit(capsys):
     assert time.perf_counter() - t0 < 5.0
     assert code == 1
     assert json.loads(err.strip().splitlines()[-1])["error"] == "DomainError"
+
+
+def test_classes_a_names_the_missing_moment(capsys):
+    # log_power(1) has no moment mu_0: class A names it, as sum and class B
+    # do, instead of stalling in the Laplace integral of the preset
+    code, _, err = _run_main(capsys, ["classes", "--class-tag", "A",
+                                      "--weight", "log_power:alpha=1"])
+    assert code == 1
+    msg = json.loads(err.strip().splitlines()[-1])
+    assert msg["error"] == "DomainError" and "moment 0" in msg["message"]

@@ -1,21 +1,12 @@
 import cmath
 import math
-from pathlib import Path
 
-import numpy as np
 import pytest
-from scipy.special import gammaln
 
-from momentsum.carleman import SequenceM
-from momentsum.errors import JetUnavailable, OrderingError, StepTooLarge
-from momentsum.extensions import (NeighborhoodSet, PlanarField, TaylorField,
-                                  cauchy_pompeiu_reconstruct, dbar_measure,
-                                  membership_raster_csv, project_to_interval,
-                                  split_plus_minus, taylor_extension_PN)
+from momentsum.errors import JetUnavailable, StepTooLarge
+from momentsum.extensions import (TaylorField, dbar_measure,
+                                  project_to_interval, taylor_extension_PN)
 from momentsum.transforms import FunctionHandle
-from momentsum.weights import WeightSpec
-
-W1 = WeightSpec.gamma_power(1.0)
 
 EXP_HANDLE = FunctionHandle(lambda z: cmath.exp(z), lambda z, n: cmath.exp(z),
                             complex_capable=True)
@@ -87,150 +78,3 @@ class TestDbar:
     def test_step_guard(self):
         with pytest.raises(StepTooLarge):
             dbar_measure(EXP_FIELD, 0.5 + 0.01j, 3, h=0.3)
-
-
-def _mk_vset(k, eta=1.0, Q=2.0):
-    M = SequenceM.factorial_times_log(1.0)
-    return NeighborhoodSet("V", k, eta, Q, W1, M.logm, (0.0, 1.0))
-
-
-class TestNeighborhoods:
-    def test_interval_always_member(self):
-        for k in (5, 10, 20):
-            ns = _mk_vset(k)
-            for x in (0.0, 0.4, 1.0):
-                assert ns.contains(x)
-
-    def test_v_defining_inequality(self):
-        ns = _mk_vset(8)
-        from momentsum.weights import log_L_hat, moment_weight
-        Lh = math.exp(log_L_hat(moment_weight(W1), 8))
-        z = 1.0 + 0.5j * (ns.eta / Lh)
-        assert ns.contains(z)
-
-    def test_nesting(self):
-        rng = np.random.default_rng(23)
-        sets = [_mk_vset(k) for k in (6, 9, 12)]
-        pts = rng.uniform(-0.5, 1.5, (1000, 2))
-        for x, y in pts:
-            z = complex(x, y)
-            inner = [ns.contains(z) for ns in sets]
-            # membership can only be lost as k grows (sets shrink)
-            for a, b in zip(inner, inner[1:]):
-                assert a or not b
-
-    def test_omega_k(self):
-        M = SequenceM.factorial_times_log(1.0)
-        om = NeighborhoodSet("Omega_k", 8, 1.0, 2.0, W1, M.logm)
-        assert om.contains(0.4)           # inside the Nevanlinna disk
-        assert not om.contains(-0.5)
-
-    def test_raster_csv(self, tmp_path):
-        path = membership_raster_csv(_mk_vset(8), (-0.2, 1.2, -0.3, 0.3),
-                                     12, 8, tmp_path / "raster.csv", "cfg")
-        rows = Path(path).read_text().splitlines()
-        assert rows[1] == "x,y,member"
-        assert len(rows) == 2 + 12 * 8
-
-
-class TestCauchyPompeiu:
-    def test_reconstructs_zbar(self):
-        fld = PlanarField.sample(lambda w: 1.0 if abs(w) < 0.8 else 0.0,
-                                 (-1, 1, -1, 1), 160, 160)
-        for z in (0.1 + 0.2j, -0.3 + 0.1j):
-            got = cauchy_pompeiu_reconstruct(fld, z)
-            assert abs(got - z.conjugate()) < 5e-6
-
-    def test_zero_field(self):
-        fld = PlanarField.sample(lambda w: 0.0, (-1, 1, -1, 1), 30, 30)
-        assert cauchy_pompeiu_reconstruct(fld, 0.2) == 0
-
-    def test_linearity(self):
-        f1 = PlanarField.sample(lambda w: 1.0 if abs(w) < 0.7 else 0.0,
-                                (-1, 1, -1, 1), 60, 60)
-        f2 = PlanarField.sample(lambda w: w.real if abs(w) < 0.7 else 0.0,
-                                (-1, 1, -1, 1), 60, 60)
-        fsum = PlanarField(-1, 1, -1, 1, 2 * f1.values + 3 * f2.values)
-        z = 0.15 + 0.1j
-        got = cauchy_pompeiu_reconstruct(fsum, z)
-        want = (2 * cauchy_pompeiu_reconstruct(f1, z)
-                + 3 * cauchy_pompeiu_reconstruct(f2, z))
-        assert abs(got - want) < 1e-12
-
-    def test_error_halves_with_grid(self):
-        z = 0.1 + 0.2j
-        errs = []
-        for n in (60, 120, 240):
-            fld = PlanarField.sample(lambda w: 1.0 if abs(w) < 0.8 else 0.0,
-                                     (-1, 1, -1, 1), n, n)
-            errs.append(abs(cauchy_pompeiu_reconstruct(fld, z)
-                            - z.conjugate()))
-        assert errs[1] <= 0.6 * errs[0]
-        assert errs[2] <= 0.6 * errs[1]
-
-    def test_split_sum_and_analyticity(self):
-        fld = PlanarField.sample(lambda w: 1.0 if abs(w) < 0.8 else 0.0,
-                                 (-1, 1, -1, 1), 120, 120)
-        z = 0.1 + 0.2j
-        fp, fm = split_plus_minus(fld, z)
-        full = cauchy_pompeiu_reconstruct(fld, z)
-        assert abs(fp + fm - full) < 1e-12
-
-    def test_upper_only_field(self):
-        fld = PlanarField.sample(
-            lambda w: 1.0 if (abs(w) < 0.8 and w.imag > 0.05) else 0.0,
-            (-1, 1, -1, 1), 100, 100)
-        fp, fm = split_plus_minus(fld, 0.3 - 0.4j)
-        assert fm == 0
-
-    def test_fplus_analytic_in_clear_zone(self):
-        # field vanishing near the origin: f_plus has dbar ~ 0 there
-        fld = PlanarField.sample(
-            lambda w: 1.0 if (0.3 < abs(w) < 0.8 and w.imag > 0) else 0.0,
-            (-1, 1, -1, 1), 120, 120)
-
-        def fplus(z):
-            return split_plus_minus(fld, z)[0]
-
-        h = 1e-4
-        z0 = 0.05 + 0.05j
-        dbar = 0.5 * ((fplus(z0 + h) - fplus(z0 - h)) / (2 * h)
-                      + 1j * (fplus(z0 + 1j * h) - fplus(z0 - 1j * h)) / (2 * h))
-        assert abs(dbar) < 1e-6
-
-
-def test_profiles_are_taken_once_per_set(monkeypatch):
-    # Lhat(k) is a golden-section search and depends only on k and the
-    # weight: a raster must not pay one per point
-    from momentsum import extensions
-    calls = []
-    real = extensions.log_L_hat
-    monkeypatch.setattr(extensions, "log_L_hat",
-                        lambda *a: calls.append(a) or real(*a))
-    ns = _mk_vset(8)
-    for z in (0.3, 0.5 + 0.01j, 1.2, -0.1j):
-        ns.contains(z)
-    assert len(calls) == 1
-    assert ns.tube_radius() == 1.0 / (2.0 * math.exp(
-        SequenceM.factorial_times_log(1.0).logm(8) / 8))
-
-
-def test_omega_k_nesting_probes():
-    rng = np.random.default_rng(31)
-    M = SequenceM.factorial_times_log(1.0)
-    om_sets = [NeighborhoodSet("Omega_k", k, 1.0, 2.0, W1, M.logm)
-               for k in (6, 9, 12)]
-    pts = rng.uniform(-0.6, 1.4, (1000, 2)) * np.array([1.0, 0.6])
-    for x, y in pts:
-        flags = [ns.contains(complex(x, y)) for ns in om_sets]
-        for a, b in zip(flags, flags[1:]):
-            assert a or not b   # sets shrink as k grows
-
-
-def test_singular_cell_on_split_axis():
-    from momentsum.errors import SingularCell
-    fld = PlanarField.sample(lambda w: 1.0 if abs(w) < 0.8 else 0.0,
-                             (-1, 1, -1, 1), 10, 5)
-    xs, ys = fld.centers()
-    with pytest.raises(SingularCell):
-        split_plus_minus(fld, complex(xs[4], 0.0))   # node on the real axis
