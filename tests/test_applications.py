@@ -209,6 +209,15 @@ class TestEulerOperator:
         va, vb = euler_apply_P((0, 1), a, W1), euler_apply_P((0, 1), b, W1)
         assert lhs.coeffs == tuple(x + y for x, y in zip(va.coeffs, vb.coeffs))
 
+    def test_operator_screen(self):
+        # euler_solve screens P on the Borel ray before any recursion
+        g = FormalSeries((Fraction(0), Fraction(1)))
+        with pytest.raises(PZeroOnRay):
+            euler_solve((1.0, -1.0), g, W1, 0.3)     # root at t = 1
+        with pytest.raises(PZeroOnRay):
+            euler_solve((0.0, 1.0), g, W1, 0.3)      # P(0) = 0
+        euler_solve((1.0, 2.0, 1.0), g, W1, 0.3)     # (1+t)^2 fine
+
 
 class TestEulerSolve:
     G = FormalSeries(tuple([Fraction(0), Fraction(1)] + [Fraction(0)] * 19))
@@ -247,11 +256,8 @@ class TestEulerSolve:
         assert sol.series.coeffs[:len(self.G)] == self.G.coeffs
 
     def test_p_zero_on_ray(self):
-        for P in ((Fraction(1), Fraction(-1)),       # root at t = 1
-                  (Fraction(0), Fraction(1))):       # P(0) = 0
-            with pytest.raises(PZeroOnRay):
-                euler_solve(P, self.G, W1, 0.3)
-        euler_solve((1, 2, 1), self.G, W1, 0.3)      # (1+t)^2 fine
+        with pytest.raises(PZeroOnRay):
+            euler_solve((Fraction(1), Fraction(-1)), self.G, W1, 0.3)
 
 
 def test_three_stage_plan_on_polynomials():
