@@ -7,7 +7,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 from scipy.integrate import quad
@@ -103,12 +103,14 @@ class ShiftCheckReport:
 
 
 def shift_laplace_check(F: FunctionHandle, a: float, w: WeightSpec,
-                        x: float, tol: float = 1e-11) -> ShiftCheckReport:
+                        x: float) -> ShiftCheckReport:
     """Check L(tau_a F)(x) = e^{-a/x} (L F)(x) for the classical kernel.
 
     Both sides are normalized the same way (the t-scaled form
-    int F(xt) K(t) dt), evaluated by independent quadratures.
+    int F(xt) K(t) dt), evaluated by independent quadratures at tolerance
+    1e-11.
     """
+    tol = 1e-11
     if not w.classical:
         raise DomainError("the shift identity check uses the classical kernel")
     if a < 0 or x <= 0:
@@ -248,21 +250,19 @@ class EulerSolution:
 
 
 def euler_solve(P, g: FormalSeries, w: WeightSpec, x: float,
-                g_handle: Optional[FunctionHandle] = None,
-                tol: float = 1e-10, degree: Optional[int] = None) -> EulerSolution:
-    """Solve P(V) f = g two ways: the formal coefficient recursion (exact in
-    rationals for the classical weight) and f = L_gamma(B_gamma g / P) by
-    quadrature.
+                tol: float = 1e-10) -> EulerSolution:
+    """Solve P(V) f = g two ways: the formal coefficient recursion to the
+    degree of g (exact in rationals for the classical weight) and
+    f = L_gamma(B_gamma g / P) by quadrature.
 
     The recursion inverts the lower-triangular action of P(V):
     f_m = (g_m - sum_{j>=1} p_j (mu_m/mu_{m-j}) f_{m-j}) / p_0.
     """
     _screen_positive_ray(P)
     P = FormalSeries(tuple(P)).coeffs    # int / int would be a float
-    degree = degree or len(g) - 1
     f = []
-    for m in range(degree + 1):
-        acc = g[m] if m < len(g) else 0
+    for m in range(len(g)):
+        acc = g[m]
         for j in range(1, min(len(P), m + 1)):
             if P[j] != 0:
                 acc -= P[j] * f[m - j] * _mu_ratio(w, m, j)
@@ -270,11 +270,7 @@ def euler_solve(P, g: FormalSeries, w: WeightSpec, x: float,
     f_series = FormalSeries(tuple(f))
 
     # Borel-side handle: (B g)(t) / P(t)
-    bg = borel_coeffs(g, w)
-    if g_handle is not None:
-        bg_eval = g_handle
-    else:
-        bg_eval = FunctionHandle.from_series_eval(bg, label="B[g]")
+    bg_eval = FunctionHandle.from_series_eval(borel_coeffs(g, w), label="B[g]")
 
     pc = [float(v) for v in P]
 

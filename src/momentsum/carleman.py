@@ -156,9 +156,10 @@ class SequenceM:
             label=f"n!*log^{alpha:g}n", symbolic={"p": 1.0, "q": alpha})
 
     @staticmethod
-    def from_gamma_hat(family: str, params: dict, n_floor: int = 3) -> "SequenceM":
+    def from_gamma_hat(family: str, params: dict) -> "SequenceM":
+        # the closed forms hold from n = 3; lower indices read ghat_3
         return SequenceM(
-            lambda n: gamma_hat_closed_log(family, params, max(n, n_floor)),
+            lambda n: gamma_hat_closed_log(family, params, max(n, 3)),
             label=f"ghat[{family}]",
             symbolic=gamma_hat_closed_ratio(family, params))
 

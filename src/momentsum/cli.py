@@ -9,7 +9,8 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
+from dataclasses import field, make_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,64 +26,7 @@ from .weights import (_FAMILIES, WeightSpec, gamma_hat_closed_log,
 
 _COMMANDS = ("sum", "multisum", "kernel", "gammahat", "verify", "euler",
              "classes")
-
-_BASE_KEYS = {"command", "weight", "weights", "out"}
-_ALLOWED_KEYS = {
-    "sum": _BASE_KEYS | {"series", "x", "tol"},
-    "multisum": _BASE_KEYS | {"series", "x", "tol"},
-    "kernel": _BASE_KEYS | {"t_min", "t_max", "n_points"},
-    "gammahat": _BASE_KEYS | {"n"},
-    "verify": _BASE_KEYS | {"suite"},
-    "euler": _BASE_KEYS | {"operator", "series", "x", "tol"},
-    "classes": _BASE_KEYS | {"class_tag", "function", "n_max"},
-}
-_KINDS = {"str": str, "float": (int, float), "int": int}  # an int is a float too
-
-
-@dataclass
-class RunConfig:
-    """Schema-validated run description; unknown keys are rejected."""
-
-    command: str
-    weights: list = field(default_factory=list)
-    series: str = "euler"
-    x: float = 1.0
-    tol: float = 1e-9
-    n: int = 40
-    t_min: float = 0.5
-    t_max: float = 20.0
-    n_points: int = 24
-    suite: str = "kernel"
-    operator: str = "1,1"
-    class_tag: str = "A"
-    function: str = "euler_function"
-    n_max: int = 10
-    out: str = ""
-
-    @staticmethod
-    def from_dict(d: dict) -> "RunConfig":
-        cmd = d.get("command")
-        if cmd not in _COMMANDS:
-            raise ValueError(f"unknown command {cmd!r}")
-        unknown = set(d) - _ALLOWED_KEYS[cmd]
-        if unknown:
-            raise ValueError(f"unknown config keys for {cmd}: {sorted(unknown)}")
-        cfg = RunConfig(command=cmd)
-        w = d.get("weights", d.get("weight", []))
-        cfg.weights = [w] if isinstance(w, str) else w
-        if not isinstance(w, (str, list)) or \
-                not all(isinstance(v, str) for v in cfg.weights):
-            raise ValueError(f"config weights must be strings, got {w!r}")
-        for f in fields(RunConfig)[2:]:        # after command and weights
-            v = d.get(f.name, getattr(cfg, f.name))
-            if isinstance(v, bool) or not isinstance(v, _KINDS[f.type]):
-                raise ValueError(f"config key {f.name!r} must be of type "
-                                 f"{f.type}, got {v!r}")
-            setattr(cfg, f.name, v)
-        return cfg
-
-    def resolved(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
+_PRESET_TERMS = 24           # coefficients of the euler and cauchy series
 
 
 def parse_weight(text: str) -> WeightSpec:
@@ -105,14 +49,14 @@ def parse_weight(text: str) -> WeightSpec:
         raise ValueError(f"weight {text!r}: {exc}") from exc
 
 
-def parse_series(text: str, length: int = 24) -> tuple:
+def parse_series(text: str) -> tuple:
     """Returns (FormalSeries, continuation) for the named or file input."""
     if text == "euler":
         a = FormalSeries(tuple((-1) ** n * math.factorial(n)
-                               for n in range(length)))
+                               for n in range(_PRESET_TERMS)))
         return a, "pade"
     if text == "cauchy":
-        a = FormalSeries((1,) * length)
+        a = FormalSeries((1,) * _PRESET_TERMS)
         return a, "cauchy"
     if text.startswith("file:"):
         path = text[5:]
@@ -142,15 +86,18 @@ def _header(cfg: RunConfig) -> str:
     return f"momentsum v{__version__} config: {json.dumps(cfg.resolved())}"
 
 
-def _write_json(cfg: RunConfig, name: str, payload: dict):
-    if not cfg.out:
-        return None
-    outdir = Path(cfg.out)
+def _out_path(cfg: RunConfig, name: str) -> Path:
+    """The file name in the --out directory (the working directory when
+    unset), which it creates."""
+    outdir = Path(cfg.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / name
-    payload = {"config": cfg.resolved(), **payload}
-    path.write_text(json.dumps(payload, indent=2, default=float))
-    return str(path)
+    return outdir / name
+
+
+def _write_json(cfg: RunConfig, name: str, payload: dict):
+    if cfg.out:
+        _out_path(cfg, name).write_text(json.dumps(
+            {"config": cfg.resolved(), **payload}, indent=2, default=float))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +140,8 @@ def _cmd_kernel(cfg: RunConfig) -> int:
     import numpy as np
     w = parse_weight(cfg.weights[0])
     ts = np.geomspace(cfg.t_min, cfg.t_max, cfg.n_points)
-    outdir = Path(cfg.out or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = kernel_probe_csv(w, ts, outdir / "kernel_probe.csv", _header(cfg))
+    path = kernel_probe_csv(w, ts, _out_path(cfg, "kernel_probe.csv"),
+                            _header(cfg))
     print(path)
     return 0
 
@@ -221,9 +167,7 @@ def _cmd_gammahat(cfg: RunConfig) -> int:
         print(json.dumps(r, default=float))
     # CSV emission
     if cfg.out:
-        outdir = Path(cfg.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / "gammahat.csv"
+        path = _out_path(cfg, "gammahat.csv")
         with open(path, "w") as fh:
             fh.write(f"# {_header(cfg)}\n")
             fh.write("n,log_numeric,log_closed,root_ratio,argmax_rho\n")
@@ -237,8 +181,8 @@ def _cmd_gammahat(cfg: RunConfig) -> int:
 
 
 def _verify_kernel_suite(w: WeightSpec):
-    jobs = [("three_E", {"eta": 0.9}), ("K1_deriv", {"n_max": 6}),
-            ("E_curve", {}), ("E_exp", {"k_range": (20, 45)})]
+    jobs = [("three_E", {"eta": 0.9}), ("K1_deriv", {}), ("E_curve", {}),
+            ("E_exp", {})]
     results = [verify_kernel_lemma(name, w, **kw) for name, kw in jobs]
     return [(r.lemma, bool(r.stable), r.detail) for r in results]
 
@@ -249,13 +193,11 @@ def _verify_dbar_suite(w: WeightSpec):
                        complex_capable=True)
     tf = TaylorField.from_oracle(f, (0.0, 1.0), 12)
     checks = []
-    ok = True
     for N in (2, 4, 6):
         z = 0.5 + 0.2j
         got = abs(dbar_measure(tf, z, N))
         envelope = 0.5 * math.e * 0.2 ** N / math.factorial(N)
         good = got <= envelope * 1.25
-        ok = ok and good
         checks.append((f"dbar_N{N}", good, f"measured {got:.3e} <= {envelope:.3e}"))
     return checks
 
@@ -280,17 +222,13 @@ def _verify_regular_suite(w: WeightSpec):
              f"slowly_varying={facts.slowly_varying}")]
 
 
+_SUITES = {"kernel": _verify_kernel_suite, "dbar": _verify_dbar_suite,
+           "shift": _verify_shift_suite, "regular": _verify_regular_suite}
+
+
 def _cmd_verify(cfg: RunConfig) -> int:
     w = parse_weight(cfg.weights[0])
-    suites = {"kernel": _verify_kernel_suite, "dbar": _verify_dbar_suite,
-              "shift": _verify_shift_suite, "regular": _verify_regular_suite}
-    if cfg.suite == "all":
-        names = list(suites)
-    elif cfg.suite in suites:
-        names = [cfg.suite]
-    else:
-        raise ValueError(f"unknown suite {cfg.suite!r} "
-                         f"(kernel|dbar|shift|regular|all)")
+    names = list(_SUITES) if cfg.suite == "all" else [cfg.suite]
     all_ok = True
     report = []
     for name in names:
@@ -299,7 +237,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
             print(f"# shift: not applicable to {w.describe()}")
             report.append({"suite": name, "applicable": False})
             continue
-        for item, ok, detail in suites[name](w):
+        for item, ok, detail in _SUITES[name](w):
             all_ok = all_ok and ok
             line = f"[{'PASS' if ok else 'FAIL'}] {name}/{item}: {detail}"
             print(line)
@@ -313,9 +251,12 @@ def _cmd_euler(cfg: RunConfig) -> int:
     w = parse_weight(cfg.weights[0])
     P = parse_operator(cfg.operator)
     if cfg.series.startswith("file:"):
-        g = FormalSeries.from_json(Path(cfg.series[5:]).read_text())
+        g = parse_series(cfg.series)[0]
+    elif cfg.series == "euler":
+        g = FormalSeries((0, 1) + (0,) * 19)     # g = x
     else:
-        g = FormalSeries((0, 1) + (0,) * 19)
+        raise ValueError(f"unknown series {cfg.series!r} for euler "
+                         "(euler|file:PATH)")
     sol = euler_solve(P, g, w, cfg.x, tol=cfg.tol)
     print(f"{sol.quadrature.value:.12g} +- "
           f"{sol.quadrature.abs_error_estimate:.3g}")
@@ -326,24 +267,30 @@ def _cmd_euler(cfg: RunConfig) -> int:
     return 0
 
 
+def _euler_function(w: WeightSpec) -> FunctionHandle:
+    """L[1/(1+t)] against the weight's kernel, its derivatives under the
+    integral."""
+    from .transforms import laplace_derivative_n, laplace_quadrature
+    K = KernelK(w)
+    w.moment_log(0)   # fail on mu_0 before the costly fit, as class B
+    Fb = FunctionHandle(lambda t: 1.0 / (1.0 + t),
+                        lambda t, n: (-1) ** n * math.factorial(n)
+                        / (1.0 + t) ** (n + 1), growth_eta=0.0)
+    return FunctionHandle(
+        lambda x: laplace_quadrature(Fb, K, x, tol=1e-10).value,
+        lambda x, n: laplace_derivative_n(Fb, K, x, n, tol=1e-11),
+        label="L[1/(1+t)]")
+
+
+_FUNCTIONS = {"euler_function": _euler_function,
+              "exp": lambda w: FunctionHandle(math.exp,
+                                              lambda x, n: math.exp(x),
+                                              growth_eta=1.0, label="exp")}
+
+
 def _cmd_classes(cfg: RunConfig) -> int:
     w = parse_weight(cfg.weights[0])
-    K = KernelK(w)
-    if cfg.function == "euler_function":
-        from .transforms import laplace_derivative_n, laplace_quadrature
-        w.moment_log(0)   # fail on mu_0 before the costly fit, as class B
-        Fb = FunctionHandle(lambda t: 1.0 / (1.0 + t),
-                            lambda t, n: (-1) ** n * math.factorial(n)
-                            / (1.0 + t) ** (n + 1), growth_eta=0.0)
-        f = FunctionHandle(
-            lambda x: laplace_quadrature(Fb, K, x, tol=1e-10).value,
-            lambda x, n: laplace_derivative_n(Fb, K, x, n, tol=1e-11),
-            label="L[1/(1+t)]")
-    elif cfg.function == "exp":
-        f = FunctionHandle(lambda x: math.exp(x), lambda x, n: math.exp(x),
-                           growth_eta=1.0, label="exp")
-    else:
-        raise ValueError(f"unknown function preset {cfg.function!r}")
+    f = _FUNCTIONS[cfg.function](w)
     M = SequenceM.factorial_power(1.0)
     if cfg.class_tag == "B":
         Mgamma = SequenceM.from_moments(w)
@@ -368,16 +315,104 @@ _BODIES = {"sum": _cmd_sum, "multisum": _cmd_multisum, "kernel": _cmd_kernel,
 
 def run(config: RunConfig) -> int:
     """Dispatch a validated config; returns the process exit code."""
-    if config.command not in _BODIES:
-        raise ValueError(f"unknown command {config.command!r}")
     if not config.weights:
         raise ValueError("a --weight is required")
     return _BODIES[config.command](config)
 
 
+# ---------------------------------------------------------------------------
+# options
+# ---------------------------------------------------------------------------
+
+_SUMS = ("sum", "multisum", "euler")
+_FINITE = ("finite", lambda v: -math.inf < v < math.inf)
+_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
+_COUNT = (">= 1", lambda v: v >= 1)
+
+
+def _one_of(*values) -> tuple:
+    return "|".join(values), values.__contains__
+
+
+# one option: its config key (the flag is --key, - for _), type, default,
+# help text, the commands that take it, and its valid range or values as
+# (text, test), None for any value
+_Option = namedtuple("_Option", "name type default help commands valid",
+                     defaults=(_COMMANDS, None))
+
+
+# the order is that of RunConfig's fields, which every output header prints
+_OPTIONS = (
+    _Option("series", str, "euler", "euler|cauchy|file:PATH; euler takes "
+            "euler (g = x) or file:PATH", _SUMS),
+    _Option("x", float, 1.0, "point of evaluation", _SUMS, _FINITE),
+    _Option("tol", float, 1e-9, "quadrature tolerance", _SUMS, _POSITIVE),
+    _Option("n", int, 40, "largest gamma-hat index", ("gammahat",), _COUNT),
+    _Option("t_min", float, 0.5, "first probe point", ("kernel",), _POSITIVE),
+    _Option("t_max", float, 20.0, "last probe point", ("kernel",), _POSITIVE),
+    _Option("n_points", int, 24, "geometric probe points", ("kernel",),
+            _COUNT),
+    _Option("suite", str, "kernel", "verification suite", ("verify",),
+            _one_of(*_SUITES, "all")),
+    _Option("operator", str, "1,1",
+            "comma-separated P coefficients, constant first", ("euler",)),
+    _Option("class_tag", str, "A", "Carleman class", ("classes",),
+            _one_of("A", "B", "C", "D")),
+    _Option("function", str, "euler_function", "function preset",
+            ("classes",), _one_of(*_FUNCTIONS)),
+    _Option("n_max", int, 10, "largest derivative order", ("classes",),
+            _COUNT),
+    _Option("out", str, "", "output directory"),
+)
+_KINDS = {str: str, float: (int, float), int: int}   # an int is a float too
+
+
+def _from_dict(d: dict):
+    """The RunConfig of a config dict.  ValueError for an unknown command
+    or key, and for a value of the wrong type or outside its range."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a config is a JSON object, got {d!r}")
+    cmd = d.get("command")
+    if cmd not in _COMMANDS:
+        raise ValueError(f"unknown command {cmd!r}")
+    options = [o for o in _OPTIONS if cmd in o.commands]
+    unknown = set(d) - {"command", "weight", "weights"} \
+        - {o.name for o in options}
+    if unknown:
+        raise ValueError(f"unknown config keys for {cmd}: {sorted(unknown)}")
+    w = d.get("weights", d.get("weight", []))
+    weights = [w] if isinstance(w, str) else w
+    if not isinstance(w, (str, list)) or \
+            not all(isinstance(v, str) for v in weights):
+        raise ValueError(f"config weights must be strings, got {w!r}")
+    values = {}
+    for o in options:
+        v = values[o.name] = d.get(o.name, o.default)
+        if isinstance(v, bool) or not isinstance(v, _KINDS[o.type]):
+            raise ValueError(f"config key {o.name!r} must be of type "
+                             f"{o.type.__name__}, got {v!r}")
+        if o.valid is not None and not o.valid[1](v):
+            raise ValueError(f"option {o.name!r} must be {o.valid[0]}, "
+                             f"got {v!r}")
+    return RunConfig(cmd, weights, **values)
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("command", str), ("weights", list, field(default_factory=list))]
+    + [(o.name, o.type, o.default) for o in _OPTIONS],
+    namespace={
+        "__doc__": "Schema-validated run description; unknown keys are "
+                   "rejected.",
+        "__module__": __name__,
+        "from_dict": staticmethod(_from_dict),
+        "resolved": lambda self: dict(self.__dict__)})
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: parsing leaves it unchanged."""
+    """The argument parser, built once: parsing leaves it unchanged.  It
+    sets no defaults: an option not given is left to RunConfig."""
     ap = argparse.ArgumentParser(
         prog="momentsum",
         description="Moment (Borel-Laplace) summation toolkit")
@@ -385,54 +420,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command")
     for cmd in _COMMANDS:
         p = sub.add_parser(cmd)
-        p.add_argument("--weight", action="append", default=None,
+        p.add_argument("--weight", action="append", dest="weights",
+                       metavar="WEIGHT",
                        help="family:key=value[,...]; repeat for multisum")
-        p.add_argument("--out", default="", help="output directory")
-        if cmd in ("sum", "multisum", "euler"):
-            p.add_argument("--series", default="euler",
-                           help="euler|cauchy|file:PATH")
-            p.add_argument("--x", type=float, default=1.0)
-            p.add_argument("--tol", type=float, default=1e-9)
-        if cmd == "euler":
-            p.add_argument("--operator", default="1,1",
-                           help="comma-separated P coefficients, constant first")
-        if cmd == "kernel":
-            p.add_argument("--t-min", type=float, default=0.5, dest="t_min")
-            p.add_argument("--t-max", type=float, default=20.0, dest="t_max")
-            p.add_argument("--n-points", type=int, default=24, dest="n_points")
-        if cmd == "gammahat":
-            p.add_argument("--n", type=int, default=40)
-        if cmd == "verify":
-            p.add_argument("--suite", default="kernel",
-                           help="kernel|dbar|shift|regular|all")
-        if cmd == "classes":
-            p.add_argument("--class-tag", default="A", dest="class_tag")
-            p.add_argument("--function", default="euler_function")
-            p.add_argument("--n-max", type=int, default=10, dest="n_max")
+        for o in _OPTIONS:
+            if cmd in o.commands:
+                valid = "" if o.valid is None else f"; {o.valid[0]}"
+                p.add_argument("--" + o.name.replace("_", "-"), type=o.type,
+                               dest=o.name,
+                               help=f"{o.help}{valid} (default {o.default!r})")
     return ap
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if not (args.config or args.command):
+        ap.print_help()
+        return 2
     try:
         if args.config:
             cfg = RunConfig.from_dict(json.loads(Path(args.config).read_text()))
         else:
-            if not args.command:
-                ap.print_help()
-                return 2
-            d = {k: v for k, v in vars(args).items()
-                 if v is not None and k != "config"}
-            d["weights"] = d.pop("weight", None) or []
-            cfg = RunConfig.from_dict(d)
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-    try:
+            cfg = RunConfig.from_dict({k: v for k, v in vars(args).items()
+                                       if v is not None and k != "config"})
         return run(cfg)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
+        # OSError: a --config, --series or --out path it cannot use
         print(json.dumps({"error": "config", "message": str(exc)}),
               file=sys.stderr)
         return 2

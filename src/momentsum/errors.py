@@ -53,10 +53,6 @@ class DegenerateDenominator(MomentSumError):
     """Pade denominator solve is singular or numerically near-singular."""
 
 
-class PoleOnRayWarning(UserWarning):
-    """Pade approximant has a pole on the nonnegative ray."""
-
-
 class OrderingError(MomentSumError):
     """Transseries exponents not strictly increasing."""
 

@@ -38,6 +38,7 @@ _LOG_TERM_MAX = math.log(1e306)  # largest E series term summed in floats
 _HEAD_TERMS = 256            # log moments each EntireE computes once
 _UNION_TERMS = 1 << 20       # (nodes x terms) of one array window of E
 _FLAT_TOL = 0.25             # |tail slope| below which Omega membership is inconclusive
+_MELLIN_TOL = 1e-10          # relative tolerance of the Mellin line sums
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +262,14 @@ class EntireE:
             return self._evaluate(x, log=True, saddle=True)
         return self._log_closed(x)
 
-    def asymptotic(self, z, delta: float = 0.08) -> EAsymptotic:
+    def asymptotic(self, z) -> EAsymptotic:
         """Saddle-point value sqrt(2 pi s/eps) exp(s eps)/z for the entire function
-        of the moment-anchored weight; off the main sector the subdominant
-        O(1/z) branch is flagged and the series value (if affordable) is
-        returned."""
+        of the moment-anchored weight; off the main sector |arg z| <= (pi/2 +
+        0.08) eps the subdominant O(1/z) branch is flagged and the series
+        value (if affordable) is returned."""
         z = complex(z)
         eps_lim = float(np.real(eval_eps(self._mw, 1e6)))
-        boundary = (math.pi / 2 + delta) * max(eps_lim, 1e-6)
+        boundary = (math.pi / 2 + 0.08) * max(eps_lim, 1e-6)
         if abs(np.angle(z)) > min(boundary, math.pi):
             val = None
             if self._closed is not None:
@@ -320,7 +321,6 @@ class KernelK:
     """
 
     weight: WeightSpec
-    mellin_tol: float = 1e-10
     _mw: WeightSpec = field(init=False, repr=False)
     _closed: Optional[Callable] = field(init=False, repr=False)
     _log_abs_closed: Optional[Callable] = field(init=False, repr=False)
@@ -397,7 +397,7 @@ class KernelK:
         return c, sigma, [d if ci <= cs[0] or u else 0.0
                           for ci, d, u in zip(c, slope, under)]
 
-    def _line_sums(self, t, tol, log_floor=_LOG_TINY, m=0):
+    def _line_sums(self, t, log_floor=_LOG_TINY, m=0):
         """Trapezoidal sums of K(t) = (1/2 pi i) int t^{-z} gamma~(z) dz for
         an array of t, in log scale: returns (real, log_factor, total, err)
         with K = exp(log_factor) * total and err in the units of total.
@@ -414,7 +414,7 @@ class KernelK:
         in y doubles until, for every node, its outer quarter holds less
         than 1e-3 tol of the integral (DecayTooSlow past 2^16 samples), and
         the step halves until one halving moves each node's sum by at most
-        ``tol`` of its result (of 1e-3 of the integral of |integrand| where
+        tol of its result (of 1e-3 of the integral of |integrand| where
         the result cancels) or the node's result lies below exp(log_floor).
         err is the change under that last halving plus the rounding of the
         samples.
@@ -450,10 +450,10 @@ class KernelK:
             rate = max(abs(slope[j] + (cg - c[j]) / sigma[j] ** 2) for j in run)
             h = 0.4 * sg / (1.0 + 0.4 * sg * rate / math.pi)
             log_factor[run], total[run], err[run] = self._run_sums(
-                cg, log_t[run], real, h, tol, log_floor, m)
+                cg, log_t[run], real, h, log_floor, m)
         return real, log_factor, total, err
 
-    def _run_sums(self, c, log_t, real, h, tol, log_floor, m):
+    def _run_sums(self, c, log_t, real, h, log_floor, m):
         """The saddle-line sums of one run of nodes on Re z = c.
 
         With m > 0 the sample matrix has one row per (node, j), j = 0..m,
@@ -521,8 +521,8 @@ class KernelK:
                     e = abs(tot - 2 * h * (z0 + s_odd))
                     if (j % k == 0) == first:
                         scale = max(abs(tot), 1e-3 * mas)
-                        wide = wide or h * s_out > 1e-3 * tol * scale
-                        if not (e <= tol * scale or mas < lim):
+                        wide = wide or h * s_out > 1e-3 * _MELLIN_TOL * scale
+                        if not (e <= _MELLIN_TOL * scale or mas < lim):
                             done, moved = False, max(moved, e)
                     total.append(tot), mass.append(mas), err.append(e)
                 if first and k > 1 and done and not wide:
@@ -561,11 +561,11 @@ class KernelK:
             total, err = total.reshape(-1, k), err.reshape(-1, k)
         return phi0 - math.log(2 * math.pi), total, err
 
-    def mellin(self, t, tol: Optional[float] = None):
+    def mellin(self, t):
         """K(t) by inverting the Mellin transform on a line through the
         saddle (``_line_sums``), for a number or a numpy array of t.
         Returns (value, err): floats for a number, arrays for an array."""
-        real, log_factor, total, err = self._line_sums(t, tol or self.mellin_tol)
+        real, log_factor, total, err = self._line_sums(t)
         with np.errstate(under="ignore"):
             factor = np.exp(log_factor)
             value, err = factor * total, np.abs(factor) * err
@@ -601,8 +601,7 @@ class KernelK:
         finite where K underflows."""
         if self._log_abs_closed is not None:
             return self._log_abs_closed(t)
-        _, log_factor, total, _ = self._line_sums(t, self.mellin_tol,
-                                                  log_floor=-math.inf)
+        _, log_factor, total, _ = self._line_sums(t, log_floor=-math.inf)
         if np.ndim(t):
             with np.errstate(divide="ignore"):
                 return log_factor.real + np.log(np.abs(total))
@@ -679,16 +678,16 @@ class LemmaReport:
     detail: str
 
 
-def _stability(values, slope_tol: float = 0.15) -> bool:
+def _stability(values) -> bool:
     """A measured log-constant is 'stable' when it stops growing: the fitted
-    slope over the upper half of the sequence stays below slope_tol."""
+    slope over the upper half of the sequence stays below 0.15."""
     v = np.asarray(values, dtype=float)
     v = v[np.isfinite(v)]
     if len(v) < 4:
         return False
     upper = v[len(v) // 2:]
     slope = np.polyfit(np.arange(len(upper)), upper, 1)[0]
-    return bool(slope <= slope_tol)
+    return bool(slope <= 0.15)
 
 
 def verify_three_E(w: WeightSpec, eta: float, delta: Optional[float] = None,
@@ -741,8 +740,8 @@ def verify_K1_deriv(w: WeightSpec, n_max: int = 6, delta: Optional[float] = None
     ghat = [gamma_hat_numeric(K._mw, n).log_value for n in range(n_max + 1)]
     ts = np.linspace(*t_range, n_pts)
     _, log_factor, rows, _ = K._line_sums(
-        np.exp(np.concatenate((ts, ts - delta))), K.mellin_tol,
-        log_floor=-math.inf, m=n_max)
+        np.exp(np.concatenate((ts, ts - delta))), log_floor=-math.inf,
+        m=n_max)
     rows = rows.reshape(2 * n_pts, -1)
     with np.errstate(divide="ignore"):
         # log K_1(t - delta), and the log of e^t theta^j K(e^t) / rows[j]
@@ -760,11 +759,12 @@ def verify_K1_deriv(w: WeightSpec, n_max: int = 6, delta: Optional[float] = None
                        if stable else "envelope constant grows with n")
 
 
-def verify_E_curve(w: WeightSpec, eta: float = 1.05, r_range=(5.0, 60.0),
-                   n_r: int = 8) -> LemmaReport:
-    """Measure max{|E(z)| : |arg z| >= theta(r) or |z| <= r} / E(r)."""
+def verify_E_curve(w: WeightSpec) -> LemmaReport:
+    """Measure max{|E(z)| : |arg z| >= theta(r) or |z| <= r} / E(r), theta(r)
+    = 1.05 / Lhat(L^{-1}(r)), at 8 radii r from 5 to 60."""
+    eta = 1.05
     E = EntireE(w)
-    rs = np.geomspace(*r_range, n_r)
+    rs = np.geomspace(5.0, 60.0, 8)
     logC = []
     for r in rs:
         theta = min(eta / math.exp(log_L_hat(E._mw, L_inverse(E._mw, r))),
@@ -787,11 +787,12 @@ def verify_E_curve(w: WeightSpec, eta: float = 1.05, r_range=(5.0, 60.0),
                        if stable else "curve constant grows with r")
 
 
-def verify_E_exp(w: WeightSpec, k_range=(20, 60)) -> LemmaReport:
-    """Measure E(L(k)) e^{-2k}; the bound requires a stable (non-growing)
-    constant, and for the classical weight the ratio is strictly decreasing."""
+def verify_E_exp(w: WeightSpec) -> LemmaReport:
+    """Measure E(L(k)) e^{-2k} for k = 20..45; the bound requires a stable
+    (non-growing) constant, and for the classical weight the ratio is
+    strictly decreasing."""
     E = EntireE(w)
-    ks = list(range(k_range[0], k_range[1] + 1))
+    ks = list(range(20, 46))
     Lk = np.array([math.exp(float(np.real(log_L(E._mw, k)))) for k in ks])
     logC = (E.log_eval_real(Lk) - 2.0 * np.array(ks)).tolist()
     diffs = np.diff(logC)

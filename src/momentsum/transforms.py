@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -23,8 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import (DegenerateDenominator, DerivativeUnavailable, DomainError,
-                     IncompatibleGrowth, MomentSumError, PoleOnRayWarning,
-                     QuadratureStall)
+                     IncompatibleGrowth, MomentSumError, QuadratureStall)
 from .kernels import EntireE, KernelK
 from .weights import L_inverse, WeightSpec, log_L_hat
 
@@ -204,7 +202,7 @@ def pade_continue(s: FormalSeries, order) -> PadeApproximant:
     """Rational approximant [m/n] agreeing with the series to order m+n.
 
     Exact (Fraction) solve for rational input; float solve otherwise.  Poles
-    on the nonnegative ray trigger a PoleOnRayWarning.
+    on the nonnegative ray set ``pole_on_ray``.
     """
     m, n = order
     if len(s) < m + n + 1:
@@ -236,9 +234,6 @@ def pade_continue(s: FormalSeries, order) -> PadeApproximant:
         for r in poles:
             if abs(r.imag) < 1e-9 and r.real >= -1e-12:
                 pole_on_ray = True
-        if pole_on_ray:
-            warnings.warn("Pade denominator has a pole on [0, inf)",
-                          PoleOnRayWarning)
     return PadeApproximant(tuple(p), tuple(q), poles, pole_on_ray)
 
 
@@ -319,6 +314,7 @@ def _growth_limit(F: FunctionHandle, K: KernelK) -> float:
 _DE_STEP = 0.5          # the first step in u
 _DE_FLOOR = 1e-3        # ends: terms below this fraction of tol * peak
 _DE_MAX_NODES = 1 << 14
+_T_CAP = 1e6            # the right end walks no further
 _K_CHUNK = 8            # lattice nodes per Mellin fill of the kernel table
 _K_T_MIN = 1e-300       # lattice nodes with t at or below join no fill
 
@@ -349,11 +345,9 @@ def _lattice_kernel(K: KernelK, level: int, ms):
     asked first.  The asked nodes of a chunk whose call raises, and asked
     nodes at t <= 1e-300, are filled one per call.
     """
-    tol = K.mellin_tol
-
     def mellin_at(nodes):
         v, e = K.mellin(_de_nodes(_lattice_u(level, nodes))[0])
-        return {(tol, level, m): (kv, ke) for m, kv, ke in
+        return {(level, m): (kv, ke) for m, kv, ke in
                 zip(nodes.tolist(), v.tolist(), e.tolist())}
 
     def fill(missing):
@@ -366,11 +360,11 @@ def _lattice_kernel(K: KernelK, level: int, ms):
                     new.update(mellin_at(chunk))
         for key in missing:
             if key not in new:
-                new.update(mellin_at(np.array(key[2:])))
+                new.update(mellin_at(np.array(key[1:])))
         return new
 
     got = K.weight.tabulated_kernel(
-        [(tol, level, m) for m in ms.tolist()], fill)
+        [(level, m) for m in ms.tolist()], fill)
     return np.array(got).T
 
 
@@ -391,7 +385,7 @@ def _real_on(fn, ts):
     return np.broadcast_to(np.real(np.asarray(v)), ts.shape).astype(float)
 
 
-def _de_integrate(g, tol: float, t_cap: float):
+def _de_integrate(g, tol: float):
     """int_0^inf g(t) dt by the trapezoidal rule in u, t = exp(u - e^-u)
     (Takahashi & Mori 1974), level by level on node arrays.
 
@@ -399,7 +393,7 @@ def _de_integrate(g, tol: float, t_cap: float):
     an ascending node array, the nodes ms of a DE level (``_lattice_u``).
     The first level, step 0.5, walks each end outward until
     two consecutive terms lie below 1e-3 tol of the peak term (the right
-    end raises QuadratureStall past ``t_cap``).  Each next level halves the
+    end raises QuadratureStall past t = 1e6).  Each next level halves the
     step on the same range, until one halving moves the sum by at most
     tol * max(1, |S|).  Returns (value, err, nodes, last node, peak |g|);
     err is that last change, plus the nodes' own errors, plus a rounding
@@ -425,9 +419,9 @@ def _de_integrate(g, tol: float, t_cap: float):
                 raise QuadratureStall("integrand has not decayed at t -> 0")
             grow += [ks[0] - 2, ks[0] - 1]
         if hi is None:
-            if ts[-1] > t_cap:
+            if ts[-1] > _T_CAP:
                 raise QuadratureStall(f"integrand did not decay below "
-                                      f"tolerance by t_cap={t_cap:.3g}")
+                                      f"tolerance by t_cap={_T_CAP:.3g}")
             grow += [ks[-1] + 1, ks[-1] + 2]
         if not grow:
             break
@@ -442,9 +436,9 @@ def _de_integrate(g, tol: float, t_cap: float):
     ks, ws, gv, ge = ks[keep], ws[keep], gv[keep], ge[keep]
     nodes = len(ts)
     T = float(_de_nodes(ks[-1] * h)[0])
-    if T > t_cap:
+    if T > _T_CAP:
         raise QuadratureStall(f"integrand did not decay below tolerance by "
-                              f"t_cap={t_cap:.3g}")
+                              f"t_cap={_T_CAP:.3g}")
     peak = float(np.abs(gv).max())
     total = h * float(np.sum(gv * ws))
     mass = h * float(np.sum(np.abs(gv * ws)))
@@ -489,14 +483,12 @@ def _integrand(F: FunctionHandle, K: KernelK, x: float, n: int = 0):
     """g(ts, at) = F^(n)(x t) t^n K(t) on a node array, with its error
     |F^(n)(x t)| t^n errK(t) from Mellin's per-node error.  A Mellin K is
     read from the weight's kernel table at the lattice nodes ``at`` =
-    (level, ms), and is summed afresh without them."""
-    def g(ts, at=None):
+    (level, ms)."""
+    def g(ts, at):
         with np.errstate(all="ignore"):
             Fv = _real_on(lambda s: F.derivative(s, n), x * ts)
             if K.exact:
                 Kv, Ke = np.real(K.eval(ts)), 0.0
-            elif at is None:
-                Kv, Ke = K.mellin(ts)
             else:
                 Kv, Ke = _lattice_kernel(K, *at)
             tn = ts ** n
@@ -505,40 +497,29 @@ def _integrand(F: FunctionHandle, K: KernelK, x: float, n: int = 0):
 
 
 def laplace_quadrature(F: FunctionHandle, K: KernelK, x: float,
-                       tol: float = 1e-9, t_cap: float = 1e6,
-                       trace_path=None) -> SummationResult:
+                       tol: float = 1e-9) -> SummationResult:
     """f(x) = int_0^inf F(x t) K(t) dt by the double-exponential rule
     (``_de_integrate``), with F and K evaluated on whole node arrays.
 
     ``panels`` counts the nodes and ``truncation_t0`` is the last one.
-    ``trace_path`` dumps 200 integrand samples on [0, T] to CSV on request.
     """
     if F.growth_eta * x >= _growth_limit(F, K):
         raise IncompatibleGrowth(
             f"growth tag eta={F.growth_eta} with x={x} leaves the kernel "
             "decay uncompensated (eta*x >= 1 at the kernel's scale)")
-    g = _integrand(F, K, x)
-    val, err, nodes, T, peak = _de_integrate(g, tol, t_cap)
-    if trace_path is not None:
-        ts = np.linspace(0.0, T, 200)
-        gv = g(ts)[0]
-        with open(trace_path, "w") as fh:
-            fh.write(f"# integrand trace: x={x} tol={tol} T={T}\n")
-            fh.write("t,integrand\n")
-            for t, v in zip(ts, gv):
-                fh.write(f"{t:.9g},{v:.12g}\n")
+    val, err, nodes, T, peak = _de_integrate(_integrand(F, K, x), tol)
     return SummationResult(val, err, nodes, "laplace_de", T, {"peak": peak})
 
 
 def laplace_derivative_n(F: FunctionHandle, K: KernelK, x: float, n: int,
-                         tol: float = 1e-9, t_cap: float = 1e6) -> float:
+                         tol: float = 1e-9) -> float:
     """f^(n)(x) = int F^(n)(x t) t^n K(t) dt (derivatives under the
     integral), by the same rule as ``laplace_quadrature``."""
     if n == 0:
-        return laplace_quadrature(F, K, x, tol, t_cap).value
+        return laplace_quadrature(F, K, x, tol).value
     if F.growth_eta * x >= _growth_limit(F, K):
         raise IncompatibleGrowth("eta*x >= 1 at the kernel's scale")
-    return _de_integrate(_integrand(F, K, x, n), tol, t_cap)[0]
+    return _de_integrate(_integrand(F, K, x, n), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -562,31 +543,23 @@ def continue_borel_series(b: FormalSeries, continuation="pade"):
         raise DomainError(f"unknown continuation {continuation!r}")
     N = len(b) - 1
     m, n = N - N // 2, N // 2
-    pa = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PoleOnRayWarning)
-        while True:
-            if n <= 0:
-                pa = pade_continue(b, (N, 0))   # the truncated polynomial
-                break
-            try:
-                cand = pade_continue(b, (m, n))
-            except DegenerateDenominator:
-                m, n = m - 1, n - 1
-                continue
-            if cand.pole_on_ray:
-                m, n = m - 1, n - 1
-                continue
-            pa = cand
+    while n > 0:
+        try:
+            pa = pade_continue(b, (m, n))
+        except DegenerateDenominator:
+            pa = None
+        if pa is not None and not pa.pole_on_ray:
             break
+        m, n = m - 1, n - 1
+    else:
+        pa = pade_continue(b, (N, 0))   # the truncated polynomial
     diag["continuation"] = f"pade({len(pa.num) - 1},{len(pa.den) - 1})"
     diag["pole_on_ray"] = pa.pole_on_ray
     return pa.handle(), diag
 
 
 def moment_sum(a: FormalSeries, w: WeightSpec, x: float,
-               continuation="pade", tol: float = 1e-9,
-               t_cap: float = 1e6) -> SummationResult:
+               continuation="pade", tol: float = 1e-9) -> SummationResult:
     """Resummation: borel_coeffs -> analytic continuation -> Laplace integral.
 
     ``continuation`` is either a FunctionHandle for the Borel-side function
@@ -595,7 +568,7 @@ def moment_sum(a: FormalSeries, w: WeightSpec, x: float,
     K = KernelK(w)
     b = borel_coeffs(a, w)
     F, diag = continue_borel_series(b, continuation)
-    res = laplace_quadrature(F, K, x, tol, t_cap)
+    res = laplace_quadrature(F, K, x, tol)
     res.method = "moment_sum"
     res.diagnostics.update(diag)
     return res

@@ -247,7 +247,6 @@ class _Family:
     eps: Optional[Callable]          # (p, s) -> eps(s); None: central difference
     min_real: Callable               # p -> smallest real argument the formula tolerates
     rho0: float                      # empirical univalence threshold for the saddle profile
-    max_real: float = math.inf       # largest evaluable real argument
     complex_capable: bool = True     # log_gamma accepts complex s
     moments: Optional[Callable] = None          # n -> mu_n as an exact integer
     kernel: Optional[Callable] = None           # t -> K(t), complex-capable
@@ -348,22 +347,23 @@ class WeightSpec:
 
     @staticmethod
     def gamma_power(alpha: float, **kw) -> "WeightSpec":
-        if alpha <= 0:
-            raise DomainError("gamma_power needs alpha > 0")
+        if not 0 < alpha < math.inf:
+            raise DomainError("gamma_power needs a finite alpha > 0")
         kw.setdefault("shift_c", min(0.5, alpha / 2))
         return WeightSpec("gamma_power", (("alpha", float(alpha)),), **kw)
 
     @staticmethod
     def log_power(alpha: float, beta: float = 0.0, **kw) -> "WeightSpec":
-        if alpha <= 0:
-            raise DomainError("log_power needs alpha > 0")
+        if not 0 < alpha < math.inf or not math.isfinite(beta):
+            raise DomainError("log_power needs a finite alpha > 0 and a "
+                              "finite beta")
         return WeightSpec("log_power",
                           (("alpha", float(alpha)), ("beta", float(beta))), **kw)
 
     @staticmethod
     def loglog_power(beta: float, **kw) -> "WeightSpec":
-        if beta <= 0:
-            raise DomainError("loglog_power needs beta > 0")
+        if not 0 < beta < math.inf:
+            raise DomainError("loglog_power needs a finite beta > 0")
         return WeightSpec("loglog_power", (("beta", float(beta)),), **kw)
 
     @staticmethod
@@ -374,8 +374,8 @@ class WeightSpec:
 
     @staticmethod
     def exp_log_over_loglog(alpha: float, **kw) -> "WeightSpec":
-        if alpha <= 0:
-            raise DomainError("exp_log_over_loglog needs alpha > 0")
+        if not 0 < alpha < math.inf:
+            raise DomainError("exp_log_over_loglog needs a finite alpha > 0")
         return WeightSpec("exp_log_over_loglog", (("alpha", float(alpha)),), **kw)
 
     @staticmethod
@@ -387,7 +387,7 @@ class WeightSpec:
     @staticmethod
     def custom(evaluator, *, eps=None, min_real=1.0, rho0=4.0,
                complex_capable=True, kernel=None, entire=None,
-               max_real=math.inf, label="custom", **kw) -> "WeightSpec":
+               label="custom", **kw) -> "WeightSpec":
         """A user weight.  ``evaluator(s)`` returns log gamma(s) for complex
         ``s`` (real-only when ``complex_capable`` is False), elementwise for
         a numpy array if it can (an evaluator that raises TypeError or
@@ -401,7 +401,7 @@ class WeightSpec:
         record = _Family(
             "custom", lambda p, s, f=_array_or_pointwise(evaluator): f(s),
             None if eps is None else (lambda p, s: eps(s)),
-            _fixed(min_real), rho0, max_real, complex_capable,
+            _fixed(min_real), rho0, complex_capable,
             kernel=_fixed(kernel), entire=_fixed(entire),
             log_abs_kernel=_fixed(kernel and _log_abs_of(kernel)))
         return WeightSpec("custom", (), label=label, record=record, **kw)
@@ -416,10 +416,6 @@ class WeightSpec:
     def min_real(self) -> float:
         """Smallest real s at which gamma(s) is safely evaluable."""
         return self.record.min_real(self._p) - self.arg_shift
-
-    @property
-    def max_real(self) -> float:
-        return self.record.max_real - self.arg_shift
 
     @property
     def rho0(self) -> float:
@@ -485,8 +481,7 @@ class WeightSpec:
 
     def tabulated_kernel(self, keys, fill) -> list:
         """The kernel table's (K, errK) at ``keys``: K and its error at nodes
-        of the Laplace rule's lattice, keyed (mellin_tol, DE level, lattice
-        index).  ``fill(missing)`` returns a dict of entries that covers the
+        of the Laplace rule's lattice, keyed (DE level, lattice index).  ``fill(missing)`` returns a dict of entries that covers the
         missing keys (and may hold more); they are stored under the lock
         while the table holds fewer than _KERNEL_TABLE_MAX entries, and
         returned either way."""
@@ -506,12 +501,11 @@ class WeightSpec:
     @cached_property
     def ray(self) -> tuple:
         """(lo, cs, lg, slope): log gamma, in one weight call, on the ray
-        grid cs = lo + _RAY_OFFSETS below max_real, lo the lowest evaluable
-        point, cut to its first run of finite values; slope[k] is the slope
-        of lg from cs[k] to cs[k + 1].  Every real root on the ray starts
-        from it."""
+        grid cs = lo + _RAY_OFFSETS, lo the lowest evaluable point, cut to
+        its first run of finite values; slope[k] is the slope of lg from
+        cs[k] to cs[k + 1].  Every real root on the ray starts from it."""
         lo = max(self.min_real, -self.shift_c)
-        cs = lo + _RAY_OFFSETS[lo + _RAY_OFFSETS < self.max_real]
+        cs = lo + _RAY_OFFSETS
         with np.errstate(all="ignore"):
             lg = np.real(self.log_gamma(cs))
         a, b = np.flatnonzero(np.diff(np.r_[False, np.isfinite(lg), False]))[:2]

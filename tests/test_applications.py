@@ -242,9 +242,10 @@ class TestEulerSolve:
         assert abs(sol.quadrature.value - formal.value) < 1e-6
 
     def test_recursion_past_g_stays_exact(self):
-        # degree past len(g): g_m = 0 there, and the recursion must still
-        # divide in Fractions
-        sol = euler_solve((1, 1), self.G, W1, 0.3, degree=30)
+        # g padded with exact zeros to degree 30: past x the recursion must
+        # still divide in Fractions
+        g = FormalSeries(self.G.coeffs + (Fraction(0),) * 10)
+        sol = euler_solve((1, 1), g, W1, 0.3)
         f = sol.series.coeffs
         assert len(f) == 31
         assert all(isinstance(c, Fraction) for c in f)

@@ -3,10 +3,11 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from momentsum import errors
+from momentsum import cli, errors
 from momentsum.cli import RunConfig, main, parse_series, parse_weight, run
 
 EULER_SUM_X1 = 0.59634736232319407
@@ -79,6 +80,17 @@ class TestParsing:
             RunConfig.from_dict({"command": "sum", "weight": "x", "bogus": 1})
         with pytest.raises(ValueError):
             RunConfig.from_dict({"command": "nope"})
+
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_flags_leave_the_defaults_to_the_config(self, monkeypatch,
+                                                    command):
+        # the parser declares no default: what it leaves unset is the
+        # option table's default, as in a config file
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or 0)
+        assert main([command, "--weight", "gamma_power:alpha=1"]) == 0
+        assert seen == [RunConfig.from_dict(
+            {"command": command, "weight": "gamma_power:alpha=1"})]
 
 
 class TestCommands:
@@ -168,6 +180,54 @@ class TestExitCodes:
     def test_missing_command_is_2(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("argv, key", [
+        (["sum", "--tol", "0"], "tol"), (["sum", "--tol", "-1"], "tol"),
+        (["euler", "--tol", "nan"], "tol"), (["sum", "--x", "nan"], "x"),
+        (["sum", "--x", "inf"], "x"), (["kernel", "--t-min", "-1"], "t_min"),
+        (["gammahat", "--n", "0"], "n"), (["gammahat", "--n", "-3"], "n"),
+        (["classes", "--n-max", "0", "--class-tag", "B"], "n_max"),
+        (["classes", "--n-max", "0", "--class-tag", "D"], "n_max"),
+        (["classes", "--n-max", "0"], "n_max"),
+        (["classes", "--n-max", "-1"], "n_max"),
+        (["classes", "--class-tag", "Z"], "class_tag")])
+    def test_option_out_of_range_is_2(self, capsys, argv, key):
+        # a value outside the option's range is a config error that names
+        # the option, before any computation can warn
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run_main(capsys, argv + [
+                "--weight", "gamma_power:alpha=1"])
+        assert (code, out, caught) == (2, "", [])
+        assert len(err.splitlines()) == 1
+        msg = json.loads(err)
+        assert msg["error"] == "config" and f"'{key}'" in msg["message"]
+
+    @pytest.mark.parametrize("series", ["bogus", "cauchy"])
+    def test_euler_series_is_euler_or_a_file(self, capsys, series):
+        code, out, err = _run_main(capsys, [
+            "euler", "--weight", "gamma_power:alpha=1", "--series", series])
+        assert (code, out) == (2, "")
+        msg = json.loads(err)
+        assert msg["error"] == "config" and "series" in msg["message"]
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_weight_parameter_is_1(self, capsys, alpha):
+        code, _, err = _run_main(capsys, [
+            "sum", "--weight", f"gamma_power:alpha={alpha}"])
+        assert code == 1
+        assert json.loads(err)["error"] == "DomainError"
+
+    def test_unreadable_path_is_2(self, capsys, tmp_path):
+        # a series file that is not there, or an --out that is a file
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for args in (["--series", f"file:{tmp_path / 'none.json'}"],
+                     ["--out", str(blocker)]):
+            code, _, err = _run_main(capsys, [
+                "sum", "--weight", "gamma_power:alpha=1"] + args)
+            assert code == 2
+            assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+
     @pytest.mark.parametrize("operator", ["1/0", "1,1e400"],
                              ids=["zero_denominator", "overflow"])
     def test_euler_operator_out_of_range_is_2(self, capsys, operator):
@@ -209,6 +269,12 @@ class TestDeterminismAndConfig:
         assert code == 2
         msg = json.loads(err)
         assert msg["error"] == "config" and key in msg["message"]
+
+    def test_config_that_is_not_an_object_is_2(self, capsys, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text('["sum"]')
+        code, _, err = _run_main(capsys, ["--config", str(p)])
+        assert code == 2 and json.loads(err)["error"] == "config"
 
 
 class TestVerifyApplicability:

@@ -71,7 +71,7 @@ DECLARED = [(w, name) for w in WEIGHTS for name in CHECKS
 
 
 def test_every_closed_form_field_has_a_check():
-    non_closed = {"name", "log_gamma", "eps", "min_real", "rho0", "max_real",
+    non_closed = {"name", "log_gamma", "eps", "min_real", "rho0",
                   "complex_capable", "ghat_factor", "ghat_ratio"}
     fields = {f.name for f in dataclasses.fields(_Family)}
     assert fields - non_closed == set(CHECKS)

@@ -3,13 +3,11 @@ import json
 import math
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from momentsum.errors import (DomainError, IncompatibleGrowth,
-                              PoleOnRayWarning)
+from momentsum.errors import DomainError, IncompatibleGrowth
 from momentsum.kernels import EntireE, KernelK
 from momentsum.transforms import (FormalSeries, FunctionHandle, borel_coeffs,
                                   borel_contour, laplace_derivative_n,
@@ -80,8 +78,7 @@ class TestPade:
 
     def test_pole_on_ray_warns(self):
         s = FormalSeries(tuple(Fraction(1, 2 ** n) for n in range(6)))
-        with pytest.warns(PoleOnRayWarning):
-            pa = pade_continue(s, (1, 1))
+        pa = pade_continue(s, (1, 1))
         assert pa.pole_on_ray
         assert pa.poles[0] == pytest.approx(2.0)
 
@@ -236,18 +233,6 @@ def test_summation_result_json():
     assert "abs_error_estimate" in d and "diagnostics" in d
 
 
-def test_integrand_trace_csv(tmp_path):
-    path = tmp_path / "trace.csv"
-    laplace_quadrature(RATIONAL_HANDLE, KernelK(W1), 1.0, tol=1e-9,
-                       trace_path=path)
-    rows = Path(path).read_text().splitlines()
-    assert rows[0].startswith("#") and rows[1] == "t,integrand"
-    assert len(rows) == 202
-    t1, v1 = rows[3].split(",")
-    assert float(v1) == pytest.approx(
-        math.exp(-float(t1)) / (1 + float(t1)), rel=1e-9)
-
-
 def test_series_auto_switch_to_asymptotic():
     # past the term cap the evaluator hands over to the saddle branch
     w = WeightSpec.gamma_power(1.5)
@@ -269,10 +254,14 @@ def test_handle_without_oracle_has_no_derivative():
 
 
 def test_quadrature_stall_on_small_cap():
+    # a closed kernel 1/(1+t)^2: the integrand is still above 1e-3 tol of
+    # its peak at the right end's cap, t = 1e6
     from momentsum.errors import QuadratureStall
-    slow = FunctionHandle(lambda t: math.exp(0.9 * t), growth_eta=0.9)
-    with pytest.raises(QuadratureStall):
-        laplace_quadrature(slow, KernelK(W1), 1.0, tol=1e-10, t_cap=10.0)
+    w = WeightSpec.custom(lambda s: 0.0 * s, kernel=lambda t: (1.0 + t) ** -2,
+                          label="slow")
+    with pytest.raises(QuadratureStall, match="t_cap=1e\\+06"):
+        laplace_quadrature(FunctionHandle(lambda t: 1.0), KernelK(w), 1.0,
+                           tol=1e-10)
 
 
 def test_degenerate_denominator_paths():
@@ -378,9 +367,9 @@ def _count_mellin(monkeypatch):
     calls = []
     mellin = KernelK.mellin
 
-    def counted(self, t, tol=None):
+    def counted(self, t):
         calls.append(np.size(t))
-        return mellin(self, t, tol)
+        return mellin(self, t)
     monkeypatch.setattr(KernelK, "mellin", counted)
     return calls
 
@@ -417,21 +406,6 @@ def test_repeated_anchored_sum_makes_no_mellin_calls(monkeypatch):
     assert calls == [] and again.value == first.value
 
 
-def test_kernel_table_is_keyed_by_mellin_tol(monkeypatch):
-    # a kernel at 1e-6 never reads the entries filled at 1e-10: it fills
-    # its own, and sums as on a weight that never saw 1e-10
-    F = FunctionHandle.from_series_eval(QUARTIC)
-    w = WeightSpec.log_power(1.0, arg_shift=2)
-    laplace_quadrature(F, KernelK(w), 1.0)
-    calls = _count_mellin(monkeypatch)
-    coarse = laplace_quadrature(F, KernelK(w, mellin_tol=1e-6), 1.0)
-    assert calls
-    assert {key[0] for key in w._kernel_table} == {1e-10, 1e-6}
-    fresh = WeightSpec.log_power(1.0, arg_shift=2)
-    assert laplace_quadrature(F, KernelK(fresh, mellin_tol=1e-6), 1.0).value \
-        == coarse.value
-
-
 def test_kernel_table_stops_at_its_cap(monkeypatch):
     # past the cap nodes are filled as before but not kept: the values
     # are those of an uncapped table
@@ -457,10 +431,10 @@ def test_kernel_table_fills_alone_the_nodes_of_a_failing_chunk(monkeypatch):
     want = laplace_quadrature(RATIONAL_HANDLE, K, 0.5)
     mellin = KernelK.mellin
 
-    def no_chunks(self, t, tol=None):
+    def no_chunks(self, t):
         if np.size(t) > 1:
             raise DecayTooSlow("a chunk member fails")
-        return mellin(self, t, tol)
+        return mellin(self, t)
     monkeypatch.setattr(KernelK, "mellin", no_chunks)
     w = WeightSpec.iterated_log(1)
     got = laplace_quadrature(RATIONAL_HANDLE, KernelK(w), 0.5)

@@ -247,6 +247,17 @@ class TestSerialization:
         with pytest.raises(DomainError):
             WeightSpec.gamma_power(1.0, sector_half_angle=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("make", [
+        WeightSpec.gamma_power, WeightSpec.log_power,
+        lambda v: WeightSpec.log_power(1.0, beta=v), WeightSpec.loglog_power,
+        WeightSpec.exp_logpower, WeightSpec.exp_log_over_loglog],
+        ids=["gamma_power", "log_power", "log_power_beta", "loglog_power",
+             "exp_logpower", "exp_log_over_loglog"])
+    def test_non_finite_parameter_is_a_domain_error(self, make, value):
+        with pytest.raises(DomainError):
+            make(value)
+
 
 class TestSectorInvariants:
     @pytest.mark.parametrize("w,rho_lo", [
