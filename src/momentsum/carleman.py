@@ -8,7 +8,6 @@ and the moderate-growth bound m_{n+1} <= C m_n^{1+1/n}.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import threading
@@ -330,6 +329,19 @@ def _per_n(orders, prof) -> dict:
     return {n: math.exp(b) for n, b in zip(orders, np.max(prof, axis=0))}
 
 
+def _derivatives(f, pairs) -> dict:
+    """{(x, n): f^(n)(x)} over the pairs, taken in one ``f.derivative`` call
+    on arrays; point by point when f rejects arrays (TypeError or
+    ValueError), as ``transforms._real_on`` maps F."""
+    pairs = sorted(set(pairs))
+    x, n = np.array(pairs).T
+    try:
+        got = np.broadcast_to(f.derivative(x, n.astype(int)), x.shape).tolist()
+    except (TypeError, ValueError):
+        got = [f.derivative(*p) for p in pairs]
+    return dict(zip(pairs, got))
+
+
 def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
                        N: Optional[SequenceM] = None,
                        weight: Optional[WeightSpec] = None,
@@ -343,9 +355,9 @@ def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
     min-envelope; class D bounds Taylor remainders.  The fitted constant is
     the max of the per-n profile, so sub-grids can only shrink it.
 
-    Each f^(n)(x) is taken once per fit (one memo of ``f.derivative``: a
-    derivative can be a whole Laplace integral), and every class reads its
-    (grid point, n) profile from that table.
+    Each f^(n)(x) the class reads is taken once per fit, all in one
+    ``f.derivative`` call (``_derivatives``): a derivative can be a whole
+    Laplace integral, and one batch of them shares its quadrature nodes.
     """
     needs = {"A": ("M", "weight"), "B": ("M", "N"), "C": ("M", "N"),
              "D": ("M", "weight")}.get(class_tag)
@@ -358,21 +370,25 @@ def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
     ns = np.array(orders)
     lM = np.array([M.logM(n) for n in orders])
     lN = np.array([N.logM(n) for n in orders]) if "N" in needs else None
-    deriv = functools.cache(f.derivative)
     extra = {}
     if class_tag == "D":
         # Taylor remainders R_n(z) from the coefficients at 0, as
         # transforms.remainder_Rn forms them
-        c0 = [deriv(0.0, k) / math.factorial(k) for k in range(n_max)]
         zs = [float(z) for z in xs if abs(z) > 0]
-        lR = np.array([[math.log(max(abs(deriv(z, 0) - _horner(c0[:n], z)),
+        d = _derivatives(f, [(0.0, k) for k in range(n_max)]
+                         + [(z, 0) for z in zs])
+        c0 = [d[0.0, k] / math.factorial(k) for k in range(n_max)]
+        lR = np.array([[math.log(max(abs(d[z, 0] - _horner(c0[:n], z)),
                                      1e-300)) for n in orders] for z in zs])
         lz = np.array([math.log(abs(z)) for z in zs])
         lmu = np.array([weight.moment_log(n) for n in orders])
         prof = (lR + gammaln(ns + 1.0) - lM - lmu - ns * lz[:, None]) / (ns + 1)
     else:
         pts = xs[xs > 0] if class_tag == "B" else xs
-        la = np.array([[_log_abs(deriv(x, n)) for n in orders] for x in pts])
+        asked = range(n_max + 1) if class_tag == "B" else orders
+        d = _derivatives(f, [(x, n) for x in pts.tolist() for n in asked])
+        la = np.array([[_log_abs(d[x, n]) for n in orders]
+                       for x in pts.tolist()])
         if class_tag == "A":
             E = EntireE(weight)
             lE = E.log_eval_real(eta * pts / a)
@@ -381,8 +397,8 @@ def fit_class_constant(class_tag: str, f, *, M: Optional[SequenceM] = None,
             r1 = (la - lM) / (ns + 1)
             if class_tag == "B":
                 lj = [exp_change_of_variables(
-                    "to_log", [deriv(x, j) for j in range(n_max + 1)], x)
-                    for x in pts]
+                    "to_log", [d[x, j] for j in range(n_max + 1)], x)
+                    for x in pts.tolist()]
                 ll = np.array([[math.log(max(abs(g[n]), 1e-300))
                                 for n in orders] for g in lj])
                 r2 = ll - ns * math.log(eta) - lN

@@ -27,11 +27,15 @@ from .weights import (_FAMILIES, WeightSpec, gamma_hat_closed_log,
 _COMMANDS = ("sum", "multisum", "kernel", "gammahat", "verify", "euler",
              "classes")
 _PRESET_TERMS = 24           # coefficients of the euler and cauchy series
+_PARSED_WEIGHTS = 16         # weight specs kept, each with its kernel table
 
 
+@functools.lru_cache(maxsize=_PARSED_WEIGHTS)
 def parse_weight(text: str) -> WeightSpec:
     """family:key=value[,...] -> WeightSpec for a family of the table;
-    ValueError (a config error) for anything else."""
+    ValueError (a config error) for anything else.  Cached: calls with one
+    spec string share one instance, and with it the weight's moment cache
+    and kernel table."""
     family, _, rest = text.partition(":")
     if family not in _FAMILIES:
         raise ValueError(f"unknown weight family {family!r} "
@@ -269,16 +273,21 @@ def _cmd_euler(cfg: RunConfig) -> int:
 
 def _euler_function(w: WeightSpec) -> FunctionHandle:
     """L[1/(1+t)] against the weight's kernel, its derivatives under the
-    integral."""
-    from .transforms import laplace_derivative_n, laplace_quadrature
+    integral: f at tol 1e-10 and f^(n) at 1e-11, for arrays of (x, n) in
+    one call."""
+    import numpy as np
+    from scipy.special import gamma
+
+    from .transforms import laplace_derivative_n
     K = KernelK(w)
     w.moment_log(0)   # fail on mu_0 before the costly fit, as class B
     Fb = FunctionHandle(lambda t: 1.0 / (1.0 + t),
-                        lambda t, n: (-1) ** n * math.factorial(n)
+                        lambda t, n: (-1.0) ** n * gamma(n + 1.0)
                         / (1.0 + t) ** (n + 1), growth_eta=0.0)
     return FunctionHandle(
-        lambda x: laplace_quadrature(Fb, K, x, tol=1e-10).value,
-        lambda x, n: laplace_derivative_n(Fb, K, x, n, tol=1e-11),
+        lambda x: laplace_derivative_n(Fb, K, x, 0, tol=1e-10),
+        lambda x, n: laplace_derivative_n(
+            Fb, K, x, n, tol=np.where(n == 0, 1e-10, 1e-11)),
         label="L[1/(1+t)]")
 
 
@@ -315,8 +324,6 @@ _BODIES = {"sum": _cmd_sum, "multisum": _cmd_multisum, "kernel": _cmd_kernel,
 
 def run(config: RunConfig) -> int:
     """Dispatch a validated config; returns the process exit code."""
-    if not config.weights:
-        raise ValueError("a --weight is required")
     return _BODIES[config.command](config)
 
 
@@ -336,13 +343,23 @@ def _one_of(*values) -> tuple:
 
 # one option: its config key (the flag is --key, - for _), type, default,
 # help text, the commands that take it, and its valid range or values as
-# (text, test), None for any value
+# (text, test), None for any value, or a dict of these by command
 _Option = namedtuple("_Option", "name type default help commands valid",
                      defaults=(_COMMANDS, None))
 
 
-# the order is that of RunConfig's fields, which every output header prints
+# the weights a command takes: one, but one per stage in multisum
+_WEIGHT_COUNTS = {**dict.fromkeys(_COMMANDS, ("one weight",
+                                               lambda v: len(v) == 1)),
+                  "multisum": ("one weight or more, one per stage", bool)}
+
+
+# the order is that of RunConfig's fields, which every output header prints;
+# weights (the flag is --weight, once per weight) comes first, after the
+# command
 _OPTIONS = (
+    _Option("weights", list, [], "family:key=value[,...]",
+            valid=_WEIGHT_COUNTS),
     _Option("series", str, "euler", "euler|cauchy|file:PATH; euler takes "
             "euler (g = x) or file:PATH", _SUMS),
     _Option("x", float, 1.0, "point of evaluation", _SUMS, _FINITE),
@@ -364,7 +381,27 @@ _OPTIONS = (
             _COUNT),
     _Option("out", str, "", "output directory"),
 )
-_KINDS = {str: str, float: (int, float), int: int}   # an int is a float too
+_KINDS = {str: str, float: (int, float), int: int,    # an int is a float too
+          list: list}
+
+
+def _valid(o: _Option, cmd: str):
+    """The (text, test) of o's valid range under cmd, None for any value."""
+    return o.valid.get(cmd) if isinstance(o.valid, dict) else o.valid
+
+
+def _config_value(d: dict, o: _Option):
+    """o's value in the config dict d, its default when absent.  The one
+    list, weights, is a list of strings, which the key "weight" may also
+    give as one string."""
+    if o.type is not list:
+        return d.get(o.name, o.default)
+    v = d.get(o.name, d.get("weight", o.default))
+    v = [v] if isinstance(v, str) else v
+    if not isinstance(v, list) or not all(isinstance(w, str) for w in v):
+        raise ValueError(f"config key {o.name!r} must be a list of strings, "
+                         f"got {v!r}")
+    return list(v)
 
 
 def _from_dict(d: dict):
@@ -376,31 +413,27 @@ def _from_dict(d: dict):
     if cmd not in _COMMANDS:
         raise ValueError(f"unknown command {cmd!r}")
     options = [o for o in _OPTIONS if cmd in o.commands]
-    unknown = set(d) - {"command", "weight", "weights"} \
-        - {o.name for o in options}
+    unknown = set(d) - {"command", "weight"} - {o.name for o in options}
     if unknown:
         raise ValueError(f"unknown config keys for {cmd}: {sorted(unknown)}")
-    w = d.get("weights", d.get("weight", []))
-    weights = [w] if isinstance(w, str) else w
-    if not isinstance(w, (str, list)) or \
-            not all(isinstance(v, str) for v in weights):
-        raise ValueError(f"config weights must be strings, got {w!r}")
     values = {}
     for o in options:
-        v = values[o.name] = d.get(o.name, o.default)
+        v = values[o.name] = _config_value(d, o)
         if isinstance(v, bool) or not isinstance(v, _KINDS[o.type]):
             raise ValueError(f"config key {o.name!r} must be of type "
                              f"{o.type.__name__}, got {v!r}")
-        if o.valid is not None and not o.valid[1](v):
-            raise ValueError(f"option {o.name!r} must be {o.valid[0]}, "
+        valid = _valid(o, cmd)
+        if valid is not None and not valid[1](v):
+            raise ValueError(f"option {o.name!r} must be {valid[0]}, "
                              f"got {v!r}")
-    return RunConfig(cmd, weights, **values)
+    return RunConfig(cmd, **values)
 
 
 RunConfig = make_dataclass(
     "RunConfig",
-    [("command", str), ("weights", list, field(default_factory=list))]
-    + [(o.name, o.type, o.default) for o in _OPTIONS],
+    [("command", str)] + [(o.name, o.type, field(default_factory=list)
+                            if o.type is list else o.default)
+                           for o in _OPTIONS],
     namespace={
         "__doc__": "Schema-validated run description; unknown keys are "
                    "rejected.",
@@ -420,15 +453,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command")
     for cmd in _COMMANDS:
         p = sub.add_parser(cmd)
-        p.add_argument("--weight", action="append", dest="weights",
-                       metavar="WEIGHT",
-                       help="family:key=value[,...]; repeat for multisum")
-        for o in _OPTIONS:
-            if cmd in o.commands:
-                valid = "" if o.valid is None else f"; {o.valid[0]}"
+        for o in (o for o in _OPTIONS if cmd in o.commands):
+            valid = _valid(o, cmd)
+            text = o.help + ("" if valid is None else f"; {valid[0]}")
+            if o.type is list:
+                p.add_argument("--weight", action="append", dest=o.name,
+                               metavar="WEIGHT", help=text)
+            else:
                 p.add_argument("--" + o.name.replace("_", "-"), type=o.type,
                                dest=o.name,
-                               help=f"{o.help}{valid} (default {o.default!r})")
+                               help=f"{text} (default {o.default!r})")
     return ap
 
 

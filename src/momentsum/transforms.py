@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -114,7 +115,8 @@ class FunctionHandle:
     """
 
     evaluator: Callable
-    derivative_fn: Optional[Callable] = None   # (x, n) -> value
+    # (x, n) -> F^(n)(x); arrays of n may hold 0, where it is F
+    derivative_fn: Optional[Callable] = None
     growth_eta: float = 0.0
     growth_weight: Optional[WeightSpec] = None
     complex_capable: bool = False
@@ -124,9 +126,11 @@ class FunctionHandle:
     def __call__(self, x):
         return self.evaluator(x)
 
-    def derivative(self, x, n: int):
-        """F^(n)(x); DerivativeUnavailable for n > 0 without an oracle."""
-        if n == 0:
+    def derivative(self, x, n):
+        """F^(n)(x); DerivativeUnavailable for n > 0 without an oracle.  x
+        and n may be arrays that broadcast: they reach the oracle whole, or
+        F itself when every n is 0."""
+        if not (n.any() if isinstance(n, np.ndarray) else n):
             return self.evaluator(x)
         if self.derivative_fn is None:
             raise DerivativeUnavailable(
@@ -368,131 +372,233 @@ def _lattice_kernel(K: KernelK, level: int, ms):
     return np.array(got).T
 
 
-def _real_on(fn, ts):
-    """Re fn on the node array ts (ascending): whole when fn takes arrays,
-    point by point when it rejects them (TypeError or ValueError); past a
-    node where a pointwise call overflows, the values read inf."""
+def _real_on(F: FunctionHandle, xt, n):
+    """Re F^(n) on the (rows, nodes) array xt, each row ascending, with n a
+    (rows, 1) array of orders, or None for F itself: whole when F takes
+    arrays, point by point when it rejects them (TypeError or ValueError);
+    past a node where a pointwise call overflows, the rest of its row reads
+    inf."""
     try:
-        v = fn(ts)
+        v = F(xt) if n is None else F.derivative(xt, n)
     except (TypeError, ValueError):
         v = []
-        for t in ts.tolist():
-            try:
-                v.append(fn(t))
-            except OverflowError:
-                v += [math.inf] * (len(ts) - len(v))
-                break
-    return np.broadcast_to(np.real(np.asarray(v)), ts.shape).astype(float)
+        for row, k in zip(xt.tolist(), [0] * len(xt) if n is None
+                          else n[:, 0].tolist()):
+            vals = []
+            for t in row:
+                try:
+                    vals.append(F.derivative(t, k))
+                except OverflowError:
+                    vals += [math.inf] * (len(row) - len(vals))
+                    break
+            v.append(vals)
+    v = np.asarray(np.asarray(v).real, dtype=float)
+    return v if v.shape == xt.shape else np.broadcast_to(v, xt.shape)
 
 
-def _de_integrate(g, tol: float):
-    """int_0^inf g(t) dt by the trapezoidal rule in u, t = exp(u - e^-u)
-    (Takahashi & Mori 1974), level by level on node arrays.
+@np.errstate(all="ignore")
+def _de_integrate(g, tol):
+    """int_0^inf g(t) dt for a stack of rows, by the trapezoidal rule in u,
+    t = exp(u - e^-u) (Takahashi & Mori 1974), level by level on node arrays
+    that every row shares.
 
-    ``g(ts, (level, ms))`` returns the integrand and its absolute error on
-    an ascending node array, the nodes ms of a DE level (``_lattice_u``).
-    The first level, step 0.5, walks each end outward until
-    two consecutive terms lie below 1e-3 tol of the peak term (the right
-    end raises QuadratureStall past t = 1e6).  Each next level halves the
-    step on the same range, until one halving moves the sum by at most
-    tol * max(1, |S|).  Returns (value, err, nodes, last node, peak |g|);
-    err is that last change, plus the nodes' own errors, plus a rounding
-    floor of a few ulps of the sum of |terms|.  A non-finite term inside
-    the range raises QuadratureStall.
+    ``g(ts, (level, ms))`` returns the integrand and its absolute error
+    (None when exact) as (rows, nodes) arrays on an ascending node array,
+    the nodes ms of a DE level (``_lattice_u``); ``tol`` holds each row's
+    tolerance.  The first level, step 0.5, walks each end outward until two
+    consecutive nodes are small in every row: below 1e-3 of the row's own
+    tol times its own peak term, read from the outermost row peak on each
+    side (the right end raises QuadratureStall past t = 1e6).  A
+    non-finite term counts as small in the walk.  Each row then keeps its
+    own range, from its peak out to its first two small nodes
+    (``_own_ranges``).  Each next level halves the step on the union of the
+    ranges, and a row stops at the first halving that moves its sum, over
+    its own nodes, by at most tol * max(1, |S|); the halving goes on until
+    every row has stopped.  A row that is 0 on the first nodes integrates
+    to 0.  So each row takes the range, the levels and the stop that it
+    takes alone, and a non-finite term raises QuadratureStall in a batch
+    exactly where it does for its row alone: inside that row's own range.
+
+    Returns (value, err, peak |g|, nodes, last node) arrays, one entry per
+    row; err is the row's last change, plus its nodes' own errors, plus a
+    rounding floor of a few ulps of the sum of its |terms|, and nodes
+    counts the nodes the row takes alone.
     """
     h = _DE_STEP
     ks = np.arange(-4, 7)                  # u in [-2, 3]: t in [8e-5, 19]
     ts, ws = _de_nodes(ks * h)
     gv, ge = g(ts, (0, ks))
+    rows = np.arange(len(gv))
+    floor = (_DE_FLOOR * tol)[:, None]
+    zero = None                            # rows that are 0 on the first nodes
     while True:
+        # a non-finite term reads as -1: below every peak, and small
         terms = np.abs(gv * ws)
-        finite = np.isfinite(terms)
-        top = int(np.argmax(np.where(finite, terms, -1.0)))
-        if terms[top] == 0.0:
-            return 0.0, 0.0, len(ts), float(ts[-1]), 0.0
-        small = ~(terms > _DE_FLOOR * tol * terms[top])   # NaN is not small
-        lo = _decayed(small[top::-1], finite[top::-1])
-        hi = _decayed(small[top:], finite[top:])
-        grow = []
-        if lo is None:
-            if ts[0] < 1e-280:
-                raise QuadratureStall("integrand has not decayed at t -> 0")
-            grow += [ks[0] - 2, ks[0] - 1]
-        if hi is None:
-            if ts[-1] > _T_CAP:
-                raise QuadratureStall(f"integrand did not decay below "
-                                      f"tolerance by t_cap={_T_CAP:.3g}")
-            grow += [ks[-1] + 1, ks[-1] + 2]
-        if not grow:
+        terms = np.where(np.isfinite(terms), terms, -1.0)
+        tops = terms.argmax(axis=1)
+        peaks = terms[rows, tops]
+        if zero is None and not peaks.all():
+            zero = peaks == 0.0
+            if zero.all():
+                return (np.zeros(len(rows)), np.zeros(len(rows)),
+                        np.zeros(len(rows)), np.full(len(rows), len(ts)),
+                        np.full(len(rows), ts[-1]))
+        if zero is not None:
+            # read as 0 everywhere, peaking with another row
+            terms[zero] = 0.0
+            peaks[zero], tops[zero] = np.inf, tops[~zero][0]
+        small = terms <= floor * peaks[:, None]
+        every_small = np.logical_and.reduce(small, axis=0).tolist()
+        top = tops.tolist()
+        t0, t1 = min(top), max(top)
+        left = [] if _decayed(every_small[t0::-1]) else [ks[0] - 2, ks[0] - 1]
+        right = [] if _decayed(every_small[t1:]) else [ks[-1] + 1, ks[-1] + 2]
+        if left and ts[0] < 1e-280:
+            raise QuadratureStall("integrand has not decayed at t -> 0")
+        if right and ts[-1] > _T_CAP:
+            raise QuadratureStall(f"integrand did not decay below tolerance "
+                                  f"by t_cap={_T_CAP:.3g}")
+        if not (left or right):
             break
-        new = np.array(grow)
+        new = np.array(left + right)
         nt, nw = _de_nodes(new * h)
         nv, ne = g(nt, (0, new))
-        ks, ts, ws, gv, ge = (np.concatenate(p) for p in zip(
-            (ks, ts, ws, gv, ge), (new, nt, nw, nv, ne)))
-        order = np.argsort(ks)
-        ks, ts, ws, gv, ge = ks[order], ts[order], ws[order], gv[order], ge[order]
-    keep = slice(top - lo, top + hi + 1)
-    ks, ws, gv, ge = ks[keep], ws[keep], gv[keep], ge[keep]
-    nodes = len(ts)
-    T = float(_de_nodes(ks[-1] * h)[0])
-    if T > _T_CAP:
+        i = len(left)
+        ks, ts, ws = (np.concatenate((n[:i], o, n[i:]))
+                      for o, n in ((ks, new), (ts, nt), (ws, nw)))
+        gv = np.concatenate((nv[:, :i], gv, nv[:, i:]), axis=1)
+        if ge is not None:
+            ge = np.concatenate((ne[:, :i], ge, ne[:, i:]), axis=1)
+    a, b = _own_ranges(small, tops)
+    T = ts[b]
+    if zero is not None:
+        T[zero] = _de_nodes(6 * _DE_STEP)[0]    # the first nodes' last
+    if T.max() > _T_CAP:
         raise QuadratureStall(f"integrand did not decay below tolerance by "
                               f"t_cap={_T_CAP:.3g}")
-    peak = float(np.abs(gv).max())
-    total = h * float(np.sum(gv * ws))
-    mass = h * float(np.sum(np.abs(gv * ws)))
-    node_err = h * float(np.sum(ge * ws))
+    # the nodes of each row's walk alone: 11, and 2 a side per step out
+    a, b, k0 = a.tolist(), b.tolist(), int(ks[0])
+    walked = [11 + 2 * ((max(-4 - k0 - ra, 0) + 1) // 2
+                        + (max(k0 + rb - 6, 0) + 1) // 2)
+              for ra, rb in zip(a, b)]
+    A, B = min(a), max(b)
+    ks, ws, gv = ks[A:B + 1], ws[A:B + 1], gv[:, A:B + 1]
+    a, b = [r - A for r in a], [r - A for r in b]
+    # a zero row keeps these: 0 over the 11 first nodes, as alone
+    value, err, nodes = np.zeros(len(rows)), np.zeros(len(rows)), [11]
+    running = None if zero is None else ~zero     # None: every row runs
+    spans, cap = _spans(a, b, walked, running)
+    sums = _own_sums(spans, gv, None if ge is None else ge[:, A:B + 1], ws,
+                     1, 1)
+    acc, peak = h * sums[:3], sums[3]     # sum, sum of |terms|, node errors
     level = 0
     while True:
         level += 1
-        ms = np.arange(ks[0] * 2 ** (level - 1), ks[-1] * 2 ** (level - 1))
+        sc = 2 ** (level - 1)
+        ms = np.arange(ks[0] * sc, ks[-1] * sc)
         h /= 2
         ts, ws = _de_nodes(_lattice_u(level, ms))
         gv, ge = g(ts, (level, ms))
-        nodes += len(ms)
-        if not np.all(np.isfinite(gv)):
-            raise QuadratureStall("integrand not finite inside the range")
-        coarse = total
-        total = coarse / 2 + h * float(np.sum(gv * ws))
-        mass = mass / 2 + h * float(np.sum(np.abs(gv * ws)))
-        node_err = node_err / 2 + h * float(np.sum(ge * ws))
-        peak = max(peak, float(np.abs(gv).max()))
-        change = abs(total - coarse)
-        if change <= tol * max(1.0, abs(total)):
-            break
-        if nodes > _DE_MAX_NODES:
+        sums = _own_sums(spans, gv, ge, ws, sc, 0)
+        coarse = acc[0]
+        acc = acc / 2 + h * sums[:3]
+        peak = np.maximum(peak, sums[3])
+        change = np.abs(acc[0] - coarse)
+        moved = change > tol * np.maximum(1.0, np.abs(acc[0]))
+        if running is not None:
+            moved |= ~running             # a stopped row stays stopped
+        if not moved.all():
+            now = np.array([w + (rb - ra) * (2 * sc - 1)
+                            for w, ra, rb in zip(walked, a, b)])
+            last = change + acc[2] + 8 * _EPS * acc[1]
+            if running is None and not moved.any():
+                return acc[0], last, peak, now, T
+            done = ~moved
+            value[done], err[done] = acc[0, done], last[done]
+            nodes = np.where(done, now, nodes)
+            running = moved if running is None else running & moved
+            if not running.any():
+                break
+            spans, cap = _spans(a, b, walked, running)
+        if level >= cap:
+            moving = change if running is None else change[running]
             raise QuadratureStall(f"DE sum at step {h:.3g} still moves by "
-                                  f"{change:.2e}")
-    return total, change + node_err + 8 * _EPS * mass, nodes, T, peak
+                                  f"{moving.max():.2e}")
+    return value, err, peak, nodes, T
 
 
-def _decayed(small, finite):
-    """Index, counted from the peak outward, of the second of the first two
-    consecutive small terms; None when the walk must go on.  A non-finite
-    term before that point raises QuadratureStall."""
-    for i in range(1, len(small)):
-        if not finite[i]:
-            raise QuadratureStall("integrand not finite before it decayed")
-        if small[i] and small[i - 1] and i > 1:
-            return i
-    return None
+def _own_ranges(small, tops):
+    """(a, b): each row's range as it takes it alone, the indices of the
+    second of the first two consecutive small nodes on each side of its
+    peak (``_decayed``); the walk leaves such a pair on each side."""
+    j = np.arange(small.shape[1] - 1)
+    pair = small[:, :-1] & small[:, 1:]            # nodes j and j + 1
+    d = j - tops[:, None]
+    a = len(j) - 1 - (pair & (d <= -2))[:, ::-1].argmax(axis=1)
+    b = (pair & (d >= 1)).argmax(axis=1) + 1
+    return a, b
 
 
-def _integrand(F: FunctionHandle, K: KernelK, x: float, n: int = 0):
-    """g(ts, at) = F^(n)(x t) t^n K(t) on a node array, with its error
-    |F^(n)(x t)| t^n errK(t) from Mellin's per-node error.  A Mellin K is
-    read from the weight's kernel table at the lattice nodes ``at`` =
-    (level, ms)."""
+def _spans(a, b, walked, running):
+    """The running rows (all rows for None) grouped by their own range
+    [a, b] and walk, as (rows, a, b), rows a basic index where it can be
+    (a slice when every row shares one range, an int for a lone row); and
+    the first level whose nodes take a running row past _DE_MAX_NODES."""
+    spans = {}
+    for r in (range(len(a)) if running is None
+              else np.flatnonzero(running).tolist()):
+        spans.setdefault((a[r], b[r], walked[r]), []).append(r)
+    # walked + (b - a)(2^cap - 1) > _DE_MAX_NODES
+    cap = min((max(_DE_MAX_NODES - rw, 0) // (rb - ra) + 1).bit_length()
+              for ra, rb, rw in spans)
+    return [(slice(None) if len(rs) == len(a) else
+             rs[0] if len(rs) == 1 else np.array(rs), ra, rb)
+            for (ra, rb, _), rs in spans.items()], cap
+
+
+def _own_sums(spans, gv, ge, ws, sc, closed):
+    """Per row, over its own nodes of a level (indices a * sc to b * sc,
+    and b itself when ``closed``): the sum of g * w, of |g * w|, of the
+    node errors err * w, and the largest |g|, as a (4, rows) array.
+    QuadratureStall for a non-finite term there, read from its sum of
+    |g * w|."""
+    terms = np.empty((3,) + gv.shape)
+    np.multiply(gv, ws, out=terms[0])
+    np.abs(terms[0], out=terms[1])
+    terms[2] = 0.0 if ge is None else ge * ws
+    size = np.abs(gv)
+    out = np.zeros((4, len(gv)))          # a row outside the spans: 0
+    for rs, a, b in spans:
+        nodes = slice(a * sc, b * sc + closed)
+        out[:3, rs] = np.add.reduce(terms[:, rs, nodes], axis=-1)
+        out[3, rs] = np.maximum.reduce(size[rs, nodes], axis=-1)
+    if not np.isfinite(out[1]).all():
+        raise QuadratureStall("integrand not finite inside the range")
+    return out
+
+
+def _decayed(small):
+    """Whether two consecutive terms, counted from the peak outward and
+    past the node next to it, are small: the walk stops on that side."""
+    return any(map(operator.and_, small[1:], small[2:]))
+
+
+def _integrand(F: FunctionHandle, K: KernelK, x, n):
+    """g(ts, at) = F^(n)(x t) t^n K(t) on a node array, one row per entry of
+    the arrays x and n, with its error |F^(n)(x t)| t^n errK(t) from
+    Mellin's per-node error (None for a closed K).  A Mellin K is read from
+    the weight's kernel table at the lattice nodes ``at`` = (level, ms)."""
+    x = x[:, None]
+    n = n[:, None] if n.any() else None
+
     def g(ts, at):
-        with np.errstate(all="ignore"):
-            Fv = _real_on(lambda s: F.derivative(s, n), x * ts)
-            if K.exact:
-                Kv, Ke = np.real(K.eval(ts)), 0.0
-            else:
-                Kv, Ke = _lattice_kernel(K, *at)
-            tn = ts ** n
-            return Fv * tn * Kv, np.abs(Fv) * tn * Ke
+        Fv = _real_on(F, x * ts, n)
+        if n is not None:
+            Fv = Fv * ts ** n
+        if K.exact:
+            return Fv * np.real(K.eval(ts)), None
+        Kv, Ke = _lattice_kernel(K, *at)
+        return Fv * Kv, np.abs(Fv) * Ke
     return g
 
 
@@ -507,19 +613,24 @@ def laplace_quadrature(F: FunctionHandle, K: KernelK, x: float,
         raise IncompatibleGrowth(
             f"growth tag eta={F.growth_eta} with x={x} leaves the kernel "
             "decay uncompensated (eta*x >= 1 at the kernel's scale)")
-    val, err, nodes, T, peak = _de_integrate(_integrand(F, K, x), tol)
-    return SummationResult(val, err, nodes, "laplace_de", T, {"peak": peak})
+    val, err, peak, nodes, T = _de_integrate(
+        _integrand(F, K, np.array([x]), np.zeros(1, int)), np.array([tol]))
+    return SummationResult(float(val[0]), float(err[0]), int(nodes[0]),
+                           "laplace_de", float(T[0]), {"peak": float(peak[0])})
 
 
-def laplace_derivative_n(F: FunctionHandle, K: KernelK, x: float, n: int,
-                         tol: float = 1e-9) -> float:
+def laplace_derivative_n(F: FunctionHandle, K: KernelK, x, n, tol=1e-9):
     """f^(n)(x) = int F^(n)(x t) t^n K(t) dt (derivatives under the
-    integral), by the same rule as ``laplace_quadrature``."""
-    if n == 0:
-        return laplace_quadrature(F, K, x, tol).value
-    if F.growth_eta * x >= _growth_limit(F, K):
+    integral), by the same rule as ``laplace_quadrature``.
+
+    x, n and tol broadcast: each element is one row, with its own tol, and
+    every row is integrated in one ``_de_integrate`` call.  A float for
+    scalars, an array of the broadcast shape otherwise."""
+    x, n, tol = np.broadcast_arrays(np.asarray(x, dtype=float), n, tol)
+    if np.any(F.growth_eta * x >= _growth_limit(F, K)):
         raise IncompatibleGrowth("eta*x >= 1 at the kernel's scale")
-    return _de_integrate(_integrand(F, K, x, n), tol)[0]
+    val = _de_integrate(_integrand(F, K, x.ravel(), n.ravel()), tol.ravel())[0]
+    return val.reshape(x.shape) if x.ndim else float(val[0])
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,26 @@ class TestExitCodes:
         msg = json.loads(err)
         assert msg["error"] == "config" and f"'{key}'" in msg["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["sum", "--weight", "gamma_power:alpha=1", "--weight",
+         "gamma_power:alpha=2", "--x", "0.5"],
+        ["kernel", "--weight", "gamma_power:alpha=1", "--weight",
+         "bogus:a=1"]])
+    def test_second_weight_is_2(self, capsys, argv):
+        # a command that takes one weight reads no second one: it is a
+        # config error that names the option, not a silent drop
+        code, out, err = _run_main(capsys, argv)
+        assert (code, out) == (2, "") and len(err.splitlines()) == 1
+        msg = json.loads(err)
+        assert msg["error"] == "config" and "'weights'" in msg["message"]
+
+    def test_multisum_takes_several_weights(self, capsys):
+        code, out, _ = _run_main(capsys, [
+            "multisum", "--weight", "gamma_power:alpha=2", "--weight",
+            "gamma_power:alpha=2", "--series", "euler", "--x", "0.3"])
+        assert code == 0 and float(out.split()[0]) == pytest.approx(
+            0.8011862796963766, abs=1e-6)
+
     @pytest.mark.parametrize("series", ["bogus", "cauchy"])
     def test_euler_series_is_euler_or_a_file(self, capsys, series):
         code, out, err = _run_main(capsys, [
@@ -364,19 +384,44 @@ def test_verify_kernel_suite_alpha3_passes_quietly():
 def test_classes_d_takes_each_laplace_integral_once(capsys, monkeypatch):
     # f(0), f(z) at the 11 nonzero grid points and f^(k)(0) for k = 1..9:
     # each remainder R_n(z) reuses them (715 integrals when each R_n(z)
-    # took its own)
+    # took its own), and all 21 rows arrive in one batched call
+    import numpy as np
     from momentsum import transforms
-    calls = {"laplace_quadrature": 0, "laplace_derivative_n": 0}
-    for name in calls:
-        def counted(*a, _real=getattr(transforms, name), _name=name, **kw):
-            calls[_name] += 1
-            return _real(*a, **kw)
-        monkeypatch.setattr(transforms, name, counted)
+    calls = []
+    real = transforms.laplace_derivative_n
+
+    def counted(F, K, x, n, tol):
+        calls.append([(float(a), int(b)) for a, b in np.broadcast(x, n)])
+        return real(F, K, x, n, tol)
+    monkeypatch.setattr(transforms, "laplace_derivative_n", counted)
     code, out, _ = _run_main(capsys, ["classes", "--class-tag", "D",
                                       "--weight", "gamma_power:alpha=1",
                                       "--n-max", "10"])
     assert code == 0 and json.loads(out.splitlines()[0])["class"] == "D"
-    assert calls == {"laplace_quadrature": 12, "laplace_derivative_n": 9}
+    assert len(calls) == 1
+    grid = np.linspace(0.0, 0.5, 12).tolist()
+    assert sorted(calls[0]) == sorted([(z, 0) for z in grid]
+                                      + [(0.0, k) for k in range(1, 10)])
+
+
+@pytest.mark.parametrize("weight", ["gamma_power:alpha=1",
+                                    "gamma_power:alpha=2", "iterated_log:k=1"])
+def test_classes_match_the_single_integral_fits(capsys, weight):
+    # C and per_n of classes A-D, from one batched Laplace call per fit,
+    # against the fits that took one integral per call (float.hex in
+    # de_reference.json): within 1e-14 relative, though class D's
+    # remainders cancel f(z) against its Taylor polynomial
+    from pathlib import Path
+    ref = json.loads((Path(__file__).parent / "de_reference.json")
+                     .read_text())["classes"]
+    for tag in "ABCD":
+        code, out, _ = _run_main(capsys, ["classes", "--class-tag", tag,
+                                          "--weight", weight])
+        fit, want = json.loads(out.splitlines()[0]), ref[f"{weight}/{tag}"]
+        assert code == 0 and fit["per_n"].keys() == want["per_n"].keys()
+        for got, hx in [(fit["C"], want["C"])] + [
+                (fit["per_n"][n], v) for n, v in want["per_n"].items()]:
+            assert got == pytest.approx(float.fromhex(hx), rel=1e-14, abs=0)
 
 
 def test_classes_b_checks_moments_before_the_fit(capsys):

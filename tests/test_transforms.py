@@ -1,12 +1,17 @@
 import cmath
+import functools
 import json
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from momentsum.applications import MultiSumPlan
 from momentsum.errors import DomainError, IncompatibleGrowth
 from momentsum.kernels import EntireE, KernelK
 from momentsum.transforms import (FormalSeries, FunctionHandle, borel_coeffs,
@@ -350,6 +355,168 @@ def test_de_rule_non_finite_term_is_a_named_stall():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureStall):
             laplace_quadrature(bad, KernelK(W1), 1.0, tol=1e-10)
+
+
+# -- the row batch: one DE call for many (x, n) ------------------------------
+
+REFERENCE = json.loads((Path(__file__).parent / "de_reference.json")
+                       .read_text())
+
+
+@functools.cache
+def _reference_weight(name):
+    W = WeightSpec
+    if name == "gp2sq":
+        return MultiSumPlan([W.gamma_power(2.0), W.gamma_power(2.0)]) \
+            .product_weight()
+    return {"gp1": W.gamma_power(1.0), "gp05": W.gamma_power(0.5),
+            "gp2": W.gamma_power(2.0), "il1": W.iterated_log(1)}[name]
+
+
+def _platform():
+    # numpy's version and its SIMD dispatch of float64 exp and log, which
+    # round the DE nodes and kernels: another dispatch may move the last bit
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:                         # numpy < 2
+        return None
+    info = opt_func_info(func_name="^(exp|log)$", signature="float64")
+    return ", ".join([f"numpy {np.__version__}"] + [
+        f"{f} {next(iter(info[f].values()))['current']}"
+        for f in ("exp", "log")])
+
+
+def test_one_row_gives_the_single_integral_rule_bit_for_bit():
+    # 150 sums (5 weights, among them the gamma_power(2)^2 product and
+    # iterated_log(1); 2 series; 15 x), each ending in one laplace_quadrature:
+    # value, estimate, node count and last node are those of the rule when
+    # it took one integral per call (float.hex).  Bit for bit on the numpy
+    # and SIMD dispatch they were taken with; elsewhere the node count is
+    # exact and the rest within a few ulps of the value and of the node
+    series = {"euler": EULER_SERIES,
+              "gammahalf": FormalSeries(tuple((-1) ** n * math.gamma(1 + n / 2)
+                                              for n in range(24)))}
+    cases = REFERENCE["moment_sum"]
+    assert len(cases) == 150
+    exact = _platform() == REFERENCE["platform"]
+    for key, want in cases.items():
+        w, s, x = key.split("/")
+        res = moment_sum(series[s], _reference_weight(w), float(x), tol=1e-10)
+        got = [res.value, res.abs_error_estimate, res.panels,
+               res.truncation_t0]
+        if exact:
+            assert [got[0].hex(), got[1].hex(), got[2], got[3].hex()] \
+                == want, key
+            continue
+        value, err, panels, T = (v if isinstance(v, int) else
+                                 float.fromhex(v) for v in want)
+        assert got[2] == panels, key
+        ulps = 16 * math.ulp(value)
+        assert abs(got[0] - value) <= ulps and abs(got[1] - err) <= ulps, key
+        assert abs(got[3] - T) <= 4 * math.ulp(T), key
+
+
+def _rational_rows():
+    # 1/(1+t) with a derivative oracle that takes arrays of (t, n)
+    from scipy.special import factorial
+    return FunctionHandle(lambda t: 1.0 / (1.0 + t),
+                          lambda t, n: (-1.0) ** n * factorial(n)
+                          / (1.0 + t) ** (n + 1))
+
+
+@pytest.mark.parametrize("weight", [WeightSpec.gamma_power(1.0),
+                                    WeightSpec.gamma_power(2.0),
+                                    WeightSpec.iterated_log(1)],
+                         ids=["gamma_power1", "gamma_power2", "iterated_log1"])
+@settings(max_examples=15, deadline=None)
+@given(xs=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
+       ns=st.lists(st.integers(0, 10), min_size=1, max_size=6))
+def test_each_batch_row_is_that_row_alone(weight, xs, ns):
+    # each row of the (x, n) grid takes the range, levels and stop it takes
+    # alone; numpy's vector loops may round F^(n) on the wider array in the
+    # last bit, so the rows agree to 1e-14 relative, not bit for bit
+    F, K = _rational_rows(), KernelK(weight)
+    x, n = (a.ravel() for a in np.meshgrid(xs, ns))
+    tol = np.where(n == 0, 1e-10, 1e-11)
+    got = laplace_derivative_n(F, K, x, n, tol)
+    alone = [laplace_derivative_n(F, K, a, b, c) for a, b, c in zip(x, n, tol)]
+    assert got == pytest.approx(alone, rel=1e-14, abs=0)
+
+
+def test_rows_that_are_zero_integrate_to_zero_in_a_batch():
+    # t^2 has no third derivative: those rows are 0 on every node, and the
+    # batch leaves the other rows as they are alone
+    sq = FunctionHandle(lambda t: t * t, lambda t, n: np.select(
+        [n == 0, n == 1, n == 2], [t * t, 2 * t, 2.0 + 0 * t], 0.0 * t))
+    K = KernelK(W1)
+    x, n = np.array([0.5, 0.5, 1.0, 1.0]), np.array([3, 0, 4, 2])
+    got = laplace_derivative_n(sq, K, x, n, 1e-10)
+    assert got.tolist() == [laplace_derivative_n(sq, K, a, b, 1e-10)
+                            for a, b in zip(x, n)]
+    assert got[0] == got[2] == 0.0 and got[1] == pytest.approx(0.5, rel=1e-9)
+    assert laplace_derivative_n(sq, K, x, 3, 1e-10).tolist() == [0.0] * 4
+
+
+def test_batching_hides_no_failure():
+    # under the slow kernel 1/(1+t)^2, row n = 1 never decays (t K(t) ~ 1/t)
+    # and row n = 2 turns NaN inside its range; each raises the same
+    # QuadratureStall inside a batch of passing rows as it does alone.  Row
+    # n = 3 turns NaN past t = 40, outside its own range, which ends near
+    # t = 19: it passes inside a batch whose row x = 0.1 walks out past
+    # t = 300, as it does alone
+    from momentsum.errors import QuadratureStall
+    slow = KernelK(WeightSpec.custom(lambda s: 0.0 * s,
+                                     kernel=lambda t: (1.0 + t) ** -2,
+                                     label="slow"))
+    F = FunctionHandle(
+        lambda t: np.exp(-t),
+        lambda t, n: np.select(
+            [n == 1, (n == 2) & (t > 1.0), (n == 3) & (t > 40.0), n == 3],
+            [1.0, np.nan, np.nan, np.exp(-3.0 * t)], np.exp(-t)))
+    passing = laplace_derivative_n(F, slow, [1.0, 2.0], 0, 1e-10)
+    assert np.all(passing > 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (1, 2):
+            with pytest.raises(QuadratureStall) as alone:
+                laplace_derivative_n(F, slow, 1.0, bad, 1e-10)
+            with pytest.raises(QuadratureStall) as batch:
+                laplace_derivative_n(F, slow, [1.0, 1.0, 2.0], [0, bad, 0],
+                                     1e-10)
+            assert str(batch.value) == str(alone.value)
+        far = laplace_derivative_n(F, slow, [1.0, 0.1], [3, 0], 1e-10)
+        assert far.tolist() == pytest.approx(
+            [laplace_derivative_n(F, slow, 1.0, 3, 1e-10),
+             laplace_derivative_n(F, slow, 0.1, 0, 1e-10)], rel=1e-14, abs=0)
+
+
+def test_rows_that_stop_early_keep_what_they_stopped_with(monkeypatch):
+    # rows that stop at different levels, and a row that is 0 on the first
+    # nodes, return the value, estimate, peak, node count and last node
+    # they return alone, with numpy's fresh float arrays filled with NaN
+    # (as freed memory may hold): a stopped row reads nothing unwritten
+    from momentsum.transforms import _de_integrate
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+    monkeypatch.setattr(np, "empty", poisoned)
+    rows = [lambda t: np.exp(-t), lambda t: np.exp(-t),
+            lambda t: 0.0 * t, lambda t: t ** 3 * np.exp(-t) / (1.0 + t)]
+    tol = np.array([1e-4, 1e-12, 1e-10, 1e-10])
+
+    def stack(fs):
+        return lambda ts, at: (np.array([f(ts) for f in fs]), None)
+    got = _de_integrate(stack(rows), tol)
+    assert len(set(got[3].tolist())) == 4       # each row stops apart
+    for r, f in enumerate(rows):
+        alone = _de_integrate(stack([f]), tol[r:r + 1])
+        assert got[3][r] == alone[3][0]
+        assert [v[r] for v in got[:3]] + [got[4][r]] == pytest.approx(
+            [v[0] for v in alone[:3]] + [alone[4][0]], rel=1e-14, abs=0)
 
 
 # -- the kernel table: K once per (weight, DE lattice node) -------------------
