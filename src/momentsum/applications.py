@@ -10,12 +10,12 @@ from fractions import Fraction
 from typing import List
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, MomentSumError, OrderingError, PZeroOnRay
 from .kernels import KernelK
 from .transforms import (FormalSeries, FunctionHandle, SummationResult,
-                         _horner, borel_coeffs, laplace_quadrature, moment_sum)
+                         _de_integrate, _horner, _real_on, borel_coeffs,
+                         laplace_quadrature, moment_sum)
 from .weights import WeightSpec, eval_eps
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,6 @@ class MultiSumPlan:
     weights: List[WeightSpec]
     continuation: object = "pade"        # as in moment_sum
     tol: float = 1e-9
-    label: str = ""
 
     def __post_init__(self):
         if not self.weights:
@@ -78,14 +77,14 @@ def multisum(a: FormalSeries, plan: MultiSumPlan, x: float) -> SummationResult:
         res = moment_sum(a, plan.product_weight(), x,
                          continuation=plan.continuation, tol=plan.tol)
     except MomentSumError as exc:
-        name = plan.label or " * ".join(w.describe() for w in plan.weights)
+        name = " * ".join(w.describe() for w in plan.weights)
         raise type(exc)(f"plan {name}: {exc}") from exc
     res.method = "multisum"
     # the continuation handle's own error is not measured yet (a stage
     # handle such as E carries its own rounding); tol per collapsed stage
     # stands for it until the error budget measures it
     res.abs_error_estimate += plan.tol * (len(plan.weights) - 1)
-    res.diagnostics["plan"] = plan.label or [w.describe() for w in plan.weights]
+    res.diagnostics["plan"] = [w.describe() for w in plan.weights]
     return res
 
 
@@ -108,7 +107,9 @@ def shift_laplace_check(F: FunctionHandle, a: float, w: WeightSpec,
 
     Both sides are normalized the same way (the t-scaled form
     int F(xt) K(t) dt), evaluated by independent quadratures at tolerance
-    1e-11.
+    1e-11: the right side by ``laplace_quadrature``, the left side
+    int_{a/x}^inf F(xt - a) e^{-t} dt by the same double-exponential rule
+    on its own integrand.
     """
     tol = 1e-11
     if not w.classical:
@@ -120,10 +121,12 @@ def shift_laplace_check(F: FunctionHandle, a: float, w: WeightSpec,
     if a == 0:
         lhs = laplace_quadrature(F, K, x, tol=tol).value
     else:
-        def g(t):
-            return float(np.real(F(x * t - a))) * math.exp(-t)
+        # int_{a/x}^inf F(x t - a) e^-t dt on t = a/x + tau, tau >= 0
+        def g(taus, at):
+            t = a / x + taus[None, :]
+            return _real_on(F, x * t - a, None) * np.exp(-t), None
 
-        lhs, _ = quad(g, a / x, a / x + 60.0, epsabs=tol, epsrel=tol, limit=300)
+        lhs = float(_de_integrate(g, np.array([tol]))[0][0])
     denom = max(abs(rhs), 1e-300)
     return ShiftCheckReport(lhs, rhs, abs(lhs - rhs) / denom, a, x)
 

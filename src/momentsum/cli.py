@@ -8,6 +8,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from dataclasses import field, make_dataclass
@@ -478,7 +479,14 @@ def main(argv=None) -> int:
         else:
             cfg = RunConfig.from_dict({k: v for k, v in vars(args).items()
                                        if v is not None and k != "config"})
-        return run(cfg)
+        code = run(cfg)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: no config error; stdout goes to devnull
+        # so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, KeyError, OSError) as exc:
         # OSError: a --config, --series or --out path it cannot use
         print(json.dumps({"error": "config", "message": str(exc)}),

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (DegenerateDenominator, DerivativeUnavailable, DomainError,
                      IncompatibleGrowth, MomentSumError, QuadratureStall)
@@ -701,6 +700,9 @@ def borel_contour(g: FunctionHandle, w: WeightSpec, x: float, n: int = 0,
     form (classical and alpha=2 gamma_power do, as do custom weights with an
     ``entire`` hook).
     """
+    # imported here: no command reaches this yet (ROADMAP direction 9), and
+    # scipy.integrate would add to every command's start-up
+    from scipy.integrate import quad
     if not g.complex_capable:
         raise DomainError("contour Borel transform needs a complex-capable g")
     E = EntireE(w)

@@ -32,7 +32,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import digamma, erfc, gammaln, loggamma, wofz
 
 from .errors import BracketError, DomainError, NoConvergence, UnsupportedFamily
@@ -573,12 +572,71 @@ class SaddlePoint:
     residual: float
 
 
+def _brent(f, a: float, b: float, xtol: float, rtol: float,
+           maxiter: int = 200) -> float:
+    """Root of f between a and b by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4), step for step as
+    scipy's brentq takes it: inverse interpolation between the last two
+    iterates, extrapolation through three, and bisection when a step is not
+    short enough.  A bracket without a sign change, a NaN value of f, or
+    maxiter steps raise NoConvergence."""
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise NoConvergence(f"f is NaN at {x:.17g}", last_iterate=x)
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NoConvergence(f"no sign change between {a:.6g} and {b:.6g}",
+                            last_iterate=b, residual=abs(fcur))
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0) != (fcur < 0):    # a zero fcur returns below
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry             # a good short step
+            else:
+                spre = scur = sbis                  # bisect
+        else:
+            spre = scur = sbis                      # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NoConvergence(f"Brent's method took {maxiter} steps",
+                        last_iterate=xcur, residual=abs(fcur))
+
+
 def _grid_root(w: WeightSpec, f, lo: float, keys, xtol: float = 1e-12,
                rtol: float = 1e-15) -> float:
     """Root of an increasing f on [lo, inf); lo itself when f(lo) >= 0.
-    ``keys`` holds one value of f per interval of w's ray grid; brentq
-    refines the root between the neighbours of the first key >= 0 right of
-    lo.  A root past the grid raises NoConvergence."""
+    ``keys`` holds one value of f per interval of w's ray grid; Brent's
+    method (``_brent``) refines the root between the neighbours of the first
+    key >= 0 right of lo.  A root past the grid raises NoConvergence."""
     if f(lo) >= 0:
         return lo
     cs = w.ray[1]
@@ -587,8 +645,7 @@ def _grid_root(w: WeightSpec, f, lo: float, keys, xtol: float = 1e-12,
     if k + 1 >= len(cs):
         raise NoConvergence(f"no sign change on the ray up to {cs[-1]:.3g}",
                             last_iterate=cs[-1], residual=abs(f(cs[-1])))
-    return brentq(f, lo if k == j else cs[k - 1], cs[k + 1], xtol=xtol,
-                  rtol=rtol, maxiter=200)
+    return _brent(f, lo if k == j else cs[k - 1], cs[k + 1], xtol, rtol)
 
 
 def L_inverse(w: WeightSpec, r: float) -> float:
@@ -605,8 +662,8 @@ def solve_saddle(w: WeightSpec, z, tol: float = 1e-10) -> SaddlePoint:
 
     Real positive z: the slopes of log gamma between ray grid neighbours
     are mean values of the increasing profile, so the first >= log z
-    brackets the root for brentq (NoConvergence past 4.6e61).  Complex z
-    runs a damped Newton iteration from the real solution for |z|.
+    brackets the root for Brent's method (NoConvergence past 4.6e61).
+    Complex z runs a damped Newton iteration from the real solution for |z|.
     """
     z = complex(z)
     if z == 0:

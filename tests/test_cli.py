@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -356,15 +357,38 @@ def test_console_script_subprocess():
 
 def test_package_never_imports_mpmath():
     # mpmath is for the tests and the bench; the package runs without it,
-    # and without scipy.interpolate, which it does not use
+    # and on numpy and scipy.special alone: a root is Brent's method in
+    # weights, an integral the DE rule in transforms
     code = ("import sys, momentsum, momentsum.cli, momentsum.extensions\n"
-            "rc = momentsum.cli.main(['sum', '--weight', 'gamma_power:alpha=1',"
-            " '--series', 'euler', '--x', '1.0'])\n"
-            "assert rc == 0 and 'mpmath' not in sys.modules\n"
-            "assert 'scipy.interpolate' not in sys.modules\n")
+            "from momentsum.cli import main\n"
+            "assert main(['sum', '--weight', 'gamma_power:alpha=1',"
+            " '--series', 'euler', '--x', '1.0']) == 0\n"
+            "assert main(['verify', '--suite', 'shift', '--weight',"
+            " 'gamma_power:alpha=1']) == 0\n"
+            "loaded = {'mpmath', 'scipy.optimize', 'scipy.integrate',"
+            " 'scipy.interpolate'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["sum", "--weight", "gamma_power:alpha=1", "--series", "euler"],
+    ["classes", "--weight", "gamma_power:alpha=1", "--class-tag", "C"]])
+def test_closed_stdout_pipe_exits_1_quietly(argv):
+    # the reader closes the pipe before the command writes: exit 1, with
+    # no config error and no "Exception ignored" from the flush at exit.
+    # stdout buffered, as by default, so a short output meets the closed
+    # pipe only when it is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen([sys.executable, "-m", "momentsum.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == ""
 
 
 def test_verify_kernel_suite_alpha3_passes_quietly():

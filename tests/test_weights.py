@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from momentsum.errors import DomainError, MomentSumError, UnsupportedFamily
-from momentsum.weights import (WeightSpec, eval_eps, gamma_hat_closed_log,
-                               gamma_hat_numeric, L_inverse, moment_weight,
-                               solve_saddle)
+from momentsum import weights
+from momentsum.errors import (DomainError, MomentSumError, NoConvergence,
+                              UnsupportedFamily)
+from momentsum.weights import (WeightSpec, _brent, eval_eps,
+                               gamma_hat_closed_log, gamma_hat_numeric,
+                               L_inverse, moment_weight, solve_saddle)
 
 W1 = WeightSpec.gamma_power(1.0)
 W2 = WeightSpec.gamma_power(2.0)
@@ -153,6 +155,55 @@ class TestLInverse:
     def test_clamped_below(self, w):
         # L(2) = sqrt(2) for gamma_power(1), L(2.1) = log 2.1 for log_power(1)
         assert L_inverse(w, 0.5) == max(w.min_real + 1.0, 2.0)
+
+
+class TestBrent:
+    # the built-in families, and the z and r at which a real root is asked
+    WEIGHTS = [WeightSpec.gamma_power(a) for a in (0.5, 1.0, 2.0, 3.0)] + [
+        WeightSpec.log_power(1.0), WeightSpec.iterated_log(1),
+        WeightSpec.exp_logpower(0.5), WeightSpec.loglog_power(1.0),
+        WeightSpec.exp_log_over_loglog(1.0)]
+    SADDLE_Z = (1.5, 2.0, 5.0, 10.0, 50.0, 100.0, 1e3)
+    L_INVERSE_R = (2.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6)
+
+    def _roots(self):
+        """Each saddle and L^-1 on the grids as float.hex, or the type of
+        the named error that the call raises."""
+        def outcome(fn, v):
+            try:
+                return fn(v).hex()
+            except MomentSumError as exc:
+                return type(exc)
+        out = []
+        for w in self.WEIGHTS:
+            out += [outcome(lambda z: solve_saddle(w, z).s_z.real, z)
+                    for z in self.SADDLE_Z]
+            out += [outcome(lambda r: L_inverse(w, r), r)
+                    for r in self.L_INVERSE_R]
+        return out
+
+    def test_roots_are_scipy_brentq_bit_for_bit(self, monkeypatch):
+        from scipy.optimize import brentq
+        got = self._roots()
+        monkeypatch.setattr(weights, "_brent",
+                            lambda f, a, b, xtol, rtol: brentq(
+                                f, a, b, xtol=xtol, rtol=rtol, maxiter=200))
+        assert got == self._roots()
+        assert sum(isinstance(v, str) for v in got) == 87
+
+    def test_failures_are_named(self):
+        with pytest.raises(NoConvergence, match="no sign change"):
+            _brent(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12, 1e-15)
+        with pytest.raises(NoConvergence, match="NaN"):
+            _brent(lambda x: math.nan if x > 1.0 else x - 0.5, 0.0, 2.0,
+                   1e-12, 1e-15)
+        with pytest.raises(NoConvergence, match="NaN"):
+            _brent(lambda x: math.nan if x < 0.5 else x - 1.0, 0.0, 2.0,
+                   1e-12, 1e-15)
+        with pytest.raises(NoConvergence, match="2 steps"):
+            _brent(lambda x: x ** 3 - 1.0 / 3.0, 0.0, 2.0, 1e-12, 1e-15,
+                   maxiter=2)
+        assert _brent(lambda x: x - 0.5, 0.5, 2.0, 1e-12, 1e-15) == 0.5
 
 
 class TestGammaHat:
