@@ -106,10 +106,12 @@ def shift_laplace_check(F: FunctionHandle, a: float, w: WeightSpec,
     """Check L(tau_a F)(x) = e^{-a/x} (L F)(x) for the classical kernel.
 
     Both sides are normalized the same way (the t-scaled form
-    int F(xt) K(t) dt), evaluated by independent quadratures at tolerance
-    1e-11: the right side by ``laplace_quadrature``, the left side
-    int_{a/x}^inf F(xt - a) e^{-t} dt by the same double-exponential rule
-    on its own integrand.
+    int F(xt) K(t) dt) and taken by the same double-exponential rule at
+    tolerance 1e-11, on different integrands: the right side by
+    ``laplace_quadrature``, the left side int_{a/x}^inf F(xt - a) e^{-t} dt
+    on t = a/x + tau.  The check therefore tests the identity, not the rule;
+    the left side is checked against an independent (QUADPACK) quadrature
+    in the tests.
     """
     tol = 1e-11
     if not w.classical:

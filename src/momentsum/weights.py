@@ -572,14 +572,16 @@ class SaddlePoint:
     residual: float
 
 
-def _brent(f, a: float, b: float, xtol: float, rtol: float,
-           maxiter: int = 200) -> float:
+_BRENT_MAXITER = 200     # brentq's default step budget
+
+
+def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
     """Root of f between a and b by Brent's method (Brent, *Algorithms for
     Minimization without Derivatives*, 1973, ch. 4), step for step as
     scipy's brentq takes it: inverse interpolation between the last two
     iterates, extrapolation through three, and bisection when a step is not
     short enough.  A bracket without a sign change, a NaN value of f, or
-    maxiter steps raise NoConvergence."""
+    _BRENT_MAXITER steps raise NoConvergence."""
     def value(x):
         fx = f(x)
         if math.isnan(fx):
@@ -596,7 +598,7 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float,
         raise NoConvergence(f"no sign change between {a:.6g} and {b:.6g}",
                             last_iterate=b, residual=abs(fcur))
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if (fpre < 0) != (fcur < 0):    # a zero fcur returns below
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -627,7 +629,7 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise NoConvergence(f"Brent's method took {maxiter} steps",
+    raise NoConvergence(f"Brent's method took {_BRENT_MAXITER} steps",
                         last_iterate=xcur, residual=abs(fcur))
 
 

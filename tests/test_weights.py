@@ -187,11 +187,12 @@ class TestBrent:
         got = self._roots()
         monkeypatch.setattr(weights, "_brent",
                             lambda f, a, b, xtol, rtol: brentq(
-                                f, a, b, xtol=xtol, rtol=rtol, maxiter=200))
+                                f, a, b, xtol=xtol, rtol=rtol,
+                                maxiter=weights._BRENT_MAXITER))
         assert got == self._roots()
         assert sum(isinstance(v, str) for v in got) == 87
 
-    def test_failures_are_named(self):
+    def test_failures_are_named(self, monkeypatch):
         with pytest.raises(NoConvergence, match="no sign change"):
             _brent(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12, 1e-15)
         with pytest.raises(NoConvergence, match="NaN"):
@@ -200,9 +201,9 @@ class TestBrent:
         with pytest.raises(NoConvergence, match="NaN"):
             _brent(lambda x: math.nan if x < 0.5 else x - 1.0, 0.0, 2.0,
                    1e-12, 1e-15)
+        monkeypatch.setattr(weights, "_BRENT_MAXITER", 2)
         with pytest.raises(NoConvergence, match="2 steps"):
-            _brent(lambda x: x ** 3 - 1.0 / 3.0, 0.0, 2.0, 1e-12, 1e-15,
-                   maxiter=2)
+            _brent(lambda x: x ** 3 - 1.0 / 3.0, 0.0, 2.0, 1e-12, 1e-15)
         assert _brent(lambda x: x - 0.5, 0.5, 2.0, 1e-12, 1e-15) == 0.5
 
 
