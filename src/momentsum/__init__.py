@@ -15,7 +15,8 @@ from .weights import (GammaHatEntry, SaddlePoint, WeightSpec, eval_eps,
                       gamma_hat_closed_log, gamma_hat_numeric, moment_weight,
                       solve_saddle)
 from .kernels import (EntireE, KernelK, OmegaDomain, kernel_probe_csv,
-                      verify_kernel_lemma)
+                      verify_E_curve, verify_E_exp, verify_K1_deriv,
+                      verify_three_E)
 from .transforms import (FormalSeries, FunctionHandle, PadeApproximant,
                          SummationResult, borel_coeffs, borel_contour,
                          laplace_derivative_n, laplace_quadrature, moment_sum,

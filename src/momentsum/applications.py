@@ -14,8 +14,8 @@ import numpy as np
 from .errors import DomainError, MomentSumError, OrderingError, PZeroOnRay
 from .kernels import KernelK
 from .transforms import (FormalSeries, FunctionHandle, SummationResult,
-                         _de_integrate, _horner, _real_on, borel_coeffs,
-                         laplace_quadrature, moment_sum)
+                         _de_integrate, _horner, _ray_roots, _real_on,
+                         borel_coeffs, laplace_quadrature, moment_sum)
 from .weights import WeightSpec, eval_eps
 
 # ---------------------------------------------------------------------------
@@ -220,10 +220,9 @@ def _screen_positive_ray(poly):
     signs = {np.sign(v) for v in p if v != 0.0}
     if len(signs) == 1:
         return  # Descartes: no positive real root, and P(0) != 0
-    roots = np.roots(list(reversed(p)))
-    for r in roots:
-        if abs(r.imag) < 1e-10 and r.real >= -1e-12:
-            raise PZeroOnRay(f"operator polynomial vanishes near t={r.real:.6g}")
+    on_ray = _ray_roots(p)[1]
+    if on_ray:
+        raise PZeroOnRay(f"operator polynomial vanishes near t={on_ray[0]:.6g}")
 
 
 def _mu_ratio(w: WeightSpec, m: int, j: int):

@@ -331,14 +331,10 @@ def _per_n(orders, prof) -> dict:
 
 def _derivatives(f, pairs) -> dict:
     """{(x, n): f^(n)(x)} over the pairs, taken in one ``f.derivative`` call
-    on arrays; point by point when f rejects arrays (TypeError or
-    ValueError), as ``transforms._real_on`` maps F."""
+    on arrays."""
     pairs = sorted(set(pairs))
     x, n = np.array(pairs).T
-    try:
-        got = np.broadcast_to(f.derivative(x, n.astype(int)), x.shape).tolist()
-    except (TypeError, ValueError):
-        got = [f.derivative(*p) for p in pairs]
+    got = np.broadcast_to(f.derivative(x, n.astype(int)), x.shape).tolist()
     return dict(zip(pairs, got))
 
 

@@ -15,12 +15,15 @@ from dataclasses import field, make_dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .applications import MultiSumPlan, euler_solve, multisum, shift_laplace_check
 from .carleman import (SequenceM, fit_class_constant, regular_sequence_facts)
 from .errors import MomentSumError
 from .extensions import TaylorField, dbar_measure
-from .kernels import EntireE, KernelK, kernel_probe_csv, verify_kernel_lemma
+from .kernels import (EntireE, KernelK, kernel_probe_csv, verify_E_curve,
+                      verify_E_exp, verify_K1_deriv, verify_three_E)
 from .transforms import FormalSeries, FunctionHandle, moment_sum
 from .weights import (_FAMILIES, WeightSpec, gamma_hat_closed_log,
                       gamma_hat_numeric)
@@ -110,10 +113,7 @@ def _write_json(cfg: RunConfig, name: str, payload: dict):
 # ---------------------------------------------------------------------------
 
 def _cauchy_continuation(w: WeightSpec) -> FunctionHandle:
-    E = EntireE(w)
-    return FunctionHandle(lambda t: E.eval(t).real if not isinstance(t, complex)
-                          else E.eval(t),
-                          growth_eta=1.0, growth_weight=w,
+    return FunctionHandle(EntireE(w).eval, growth_eta=1.0, growth_weight=w,
                           complex_capable=True, label="E")
 
 
@@ -142,7 +142,6 @@ def _cmd_multisum(cfg: RunConfig) -> int:
 
 
 def _cmd_kernel(cfg: RunConfig) -> int:
-    import numpy as np
     w = parse_weight(cfg.weights[0])
     ts = np.geomspace(cfg.t_min, cfg.t_max, cfg.n_points)
     path = kernel_probe_csv(w, ts, _out_path(cfg, "kernel_probe.csv"),
@@ -186,9 +185,8 @@ def _cmd_gammahat(cfg: RunConfig) -> int:
 
 
 def _verify_kernel_suite(w: WeightSpec):
-    jobs = [("three_E", {"eta": 0.9}), ("K1_deriv", {}), ("E_curve", {}),
-            ("E_exp", {})]
-    results = [verify_kernel_lemma(name, w, **kw) for name, kw in jobs]
+    results = [verify_three_E(w, eta=0.9), verify_K1_deriv(w),
+               verify_E_curve(w), verify_E_exp(w)]
     return [(r.lemma, bool(r.stable), r.detail) for r in results]
 
 
@@ -208,7 +206,9 @@ def _verify_dbar_suite(w: WeightSpec):
 
 
 def _verify_shift_suite(w: WeightSpec):
-    F = FunctionHandle(lambda t: 1.0 / (1.0 + t) if t >= 0 else 0.0)
+    # 1/(1+t) on the ray, 0 left of it
+    F = FunctionHandle(
+        lambda t: np.where(t >= 0, 1.0, 0.0) / (1.0 + np.abs(t)))
     checks = []
     for a in (0.5, 1.0):
         for x in (0.3, 0.5):
@@ -276,7 +276,6 @@ def _euler_function(w: WeightSpec) -> FunctionHandle:
     """L[1/(1+t)] against the weight's kernel, its derivatives under the
     integral: f at tol 1e-10 and f^(n) at 1e-11, for arrays of (x, n) in
     one call."""
-    import numpy as np
     from scipy.special import gamma
 
     from .transforms import laplace_derivative_n

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (DecayTooSlow, DomainError, MomentSumError, NoConvergence,
                      QuadratureStall, SaddleFailure, TruncationError)
 from .weights import (LOG_FLOAT_MAX, L_inverse, WeightSpec,
-                      _array_or_pointwise, eval_eps, gamma_hat_numeric, log_L,
+                      eval_eps, gamma_hat_numeric, log_L,
                       log_L_hat, moment_weight, solve_saddle)
 
 _EPS = np.finfo(float).eps
@@ -70,10 +70,8 @@ class EntireE:
         self.weight = weight
         self.n_cap = n_cap
         self._mw = moment_weight(weight)
-        closed = weight.closed("entire")
-        self._closed = closed and _array_or_pointwise(closed)
-        log_closed = weight.closed("log_entire_real")
-        self._log_closed = log_closed and _array_or_pointwise(log_closed)
+        self._closed = weight.closed("entire")
+        self._log_closed = weight.closed("log_entire_real")
         self._head = None
 
     def _log_moments(self, first, stop):
@@ -327,10 +325,8 @@ class KernelK:
 
     def __post_init__(self):
         self._mw = moment_weight(self.weight)
-        closed = self.weight.closed("kernel")
-        self._closed = closed and _array_or_pointwise(closed)
-        log_abs = self.weight.closed("log_abs_kernel")
-        self._log_abs_closed = log_abs and _array_or_pointwise(log_abs)
+        self._closed = self.weight.closed("kernel")
+        self._log_abs_closed = self.weight.closed("log_abs_kernel")
 
     # -- canonical closed form --------------------------------------------
 
@@ -802,20 +798,6 @@ def verify_E_exp(w: WeightSpec) -> LemmaReport:
                         "non_increasing": non_increasing},
                        _stability(logC) or non_increasing,
                        "E(L(k)) <= C e^{2k} with non-growing constant")
-
-
-_LEMMAS = {
-    "three_E": verify_three_E,
-    "K1_deriv": verify_K1_deriv,
-    "E_curve": verify_E_curve,
-    "E_exp": verify_E_exp,
-}
-
-
-def verify_kernel_lemma(lemma: str, w: WeightSpec, **params) -> LemmaReport:
-    if lemma not in _LEMMAS:
-        raise DomainError(f"unknown lemma {lemma!r}; choose from {sorted(_LEMMAS)}")
-    return _LEMMAS[lemma](w, **params)
 
 
 # ---------------------------------------------------------------------------

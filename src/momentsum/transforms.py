@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (DegenerateDenominator, DerivativeUnavailable, DomainError,
                      IncompatibleGrowth, MomentSumError, QuadratureStall)
 from .kernels import EntireE, KernelK
-from .weights import L_inverse, WeightSpec, log_L_hat
+from .weights import L_inverse, WeightSpec, _array_or_pointwise, log_L_hat
 
 _EPS = np.finfo(float).eps
 
@@ -110,7 +110,9 @@ class FunctionHandle:
     bounded/polynomially growing functions), where E belongs to
     ``growth_weight`` when set and to the integrating kernel's weight
     otherwise; ``analytic_radius`` is the radius of the disk of analyticity
-    at the origin when known (inf for entire).
+    at the origin when known (inf for entire).  The evaluator and the
+    oracle take numpy arrays whole if they can, and are mapped point by
+    point if not (``weights._array_or_pointwise``).
     """
 
     evaluator: Callable
@@ -121,6 +123,15 @@ class FunctionHandle:
     complex_capable: bool = False
     analytic_radius: float = math.inf
     label: str = ""
+
+    def __post_init__(self):
+        f, d = self.evaluator, self.derivative_fn
+        self.evaluator = _array_or_pointwise(f)
+        if d is not None:
+            # point by point, an n = 0 point is F, as a whole n = 0 is
+            self.derivative_fn = _array_or_pointwise(
+                lambda x, n: d(x, n) if isinstance(n, np.ndarray) or n
+                else f(x))
 
     def __call__(self, x):
         return self.evaluator(x)
@@ -228,16 +239,19 @@ def pade_continue(s: FormalSeries, order) -> PadeApproximant:
     p = [sum(q[j] * c[k - j] for j in range(min(k, n) + 1))
          for k in range(m + 1)]
 
-    poles = ()
-    pole_on_ray = False
-    if n > 0:
-        qf = np.array([float(v) for v in q], dtype=float)
-        rts = np.roots(qf[::-1]) if np.any(qf[1:]) else np.array([])
-        poles = tuple(complex(r) for r in rts)
-        for r in poles:
-            if abs(r.imag) < 1e-9 and r.real >= -1e-12:
-                pole_on_ray = True
-    return PadeApproximant(tuple(p), tuple(q), poles, pole_on_ray)
+    poles, on_ray = _ray_roots(q) if n > 0 else ((), [])
+    return PadeApproximant(tuple(p), tuple(q), poles, bool(on_ray))
+
+
+def _ray_roots(coeffs):
+    """(every root, the real parts of the roots on [0, inf)) of the
+    polynomial sum_k coeffs[k] t^k.  A root r is on the ray where |Im r| <
+    1e-9 and Re r >= -1e-12: Pade's pole screen and the Euler operator's
+    zero screen decide alike."""
+    roots = tuple(complex(r) for r in
+                  np.roots([float(c) for c in reversed(coeffs)]))
+    return roots, [r.real for r in roots
+                   if abs(r.imag) < 1e-9 and r.real >= -1e-12]
 
 
 def _solve_exact(A, b):
@@ -372,26 +386,10 @@ def _lattice_kernel(K: KernelK, level: int, ms):
 
 
 def _real_on(F: FunctionHandle, xt, n):
-    """Re F^(n) on the (rows, nodes) array xt, each row ascending, with n a
-    (rows, 1) array of orders, or None for F itself: whole when F takes
-    arrays, point by point when it rejects them (TypeError or ValueError);
-    past a node where a pointwise call overflows, the rest of its row reads
-    inf."""
-    try:
-        v = F(xt) if n is None else F.derivative(xt, n)
-    except (TypeError, ValueError):
-        v = []
-        for row, k in zip(xt.tolist(), [0] * len(xt) if n is None
-                          else n[:, 0].tolist()):
-            vals = []
-            for t in row:
-                try:
-                    vals.append(F.derivative(t, k))
-                except OverflowError:
-                    vals += [math.inf] * (len(row) - len(vals))
-                    break
-            v.append(vals)
-    v = np.asarray(np.asarray(v).real, dtype=float)
+    """Re F^(n) on the (rows, nodes) array xt, with n a (rows, 1) array of
+    orders, or None for F itself."""
+    v = np.asarray(np.real(F(xt) if n is None else F.derivative(xt, n)),
+                   dtype=float)
     return v if v.shape == xt.shape else np.broadcast_to(v, xt.shape)
 
 

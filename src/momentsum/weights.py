@@ -137,14 +137,9 @@ def _gp_kernel(p):
     a = p["alpha"]
 
     def K(t):
-        if isinstance(t, np.ndarray):
-            return a * t ** (a - 1.0) * np.exp(-t ** a)
-        tc = complex(t)
-        if tc.imag == 0 and tc.real >= 0:
-            tr = tc.real
-            return a * tr ** (a - 1.0) * math.exp(-tr ** a) if tr > 0 else \
-                (1.0 if a == 1.0 else (math.inf if a < 1.0 else 0.0))
-        return a * tc ** (a - 1.0) * np.exp(-tc ** a)
+        # t = 0 reads inf below alpha = 1, 1 at it and 0 above
+        with np.errstate(divide="ignore"):
+            return a * np.power(t, a - 1.0) * np.exp(-np.power(t, a))
     return K
 
 
@@ -152,14 +147,10 @@ def _gp_log_abs_kernel(p):
     a = p["alpha"]
 
     def log_abs_K(t):
-        if isinstance(t, np.ndarray):    # no zeros in an array of t
-            return (math.log(a) + (a - 1.0) * np.log(np.abs(t))
-                    - np.real(t.astype(complex) ** a))
-        tc = complex(t)
-        if tc == 0:
-            return 0.0 if a == 1.0 else (-math.inf if a > 1 else math.inf)
-        return (math.log(a) + (a - 1.0) * math.log(abs(tc))
-                - float(np.real(tc ** a)))
+        with np.errstate(divide="ignore"):     # log |0| = -inf
+            log_power = (a - 1.0) * np.log(np.abs(t)) if a != 1.0 else 0.0
+        return (math.log(a) + log_power
+                - np.real(np.asarray(t, dtype=complex) ** a))
     return log_abs_K
 
 
@@ -173,16 +164,16 @@ def _gp_entire(p):
 
 
 def _log_entire_alpha2(x):
-    # log(e^{x^2} erfc(-x)); for x >= 0, erfc(-x) in [1, 2] so the direct
-    # form is stable
-    if x < 0:
+    # log(e^{x^2} erfc(-x)); for x >= 0, erfc(-x) lies in [1, 2] (and is
+    # 2.0 exactly from x = 26 on), so the direct form is stable
+    if np.any(np.less(x, 0)):
         raise DomainError("closed log E(x) needs x >= 0")
-    return float(x * x + math.log(erfc(-x))) if x < 26 \
-        else float(x * x + math.log(2.0))
+    return x * x + np.log(erfc(-x))
 
 
 def _gp_log_entire_real(p):
-    return {1.0: float, 2.0: _log_entire_alpha2}.get(p["alpha"])
+    # log exp(x) = x, as floats
+    return {1.0: lambda x: 1.0 * x, 2.0: _log_entire_alpha2}.get(p["alpha"])
 
 
 def _gp_log_abs_gamma_imag(p):
@@ -203,31 +194,39 @@ def _fixed(value):
     return None if value is None else (lambda p: value)
 
 
-def _array_or_pointwise(evaluator):
-    """A user callable extended to numpy arrays.  Arrays go to it whole
-    unless it rejects them with TypeError or ValueError (one that calls
-    ``complex(s)`` or branches on ``s >= 0``, say); from then on this
-    wrapper maps them point by point."""
+def _array_or_pointwise(f):
+    """A user callable extended to numpy arrays: the one place where the
+    package maps a callable point by point.  Arrays go to f whole unless it
+    rejects them with TypeError or ValueError (one that calls ``complex(s)``
+    or branches on ``s >= 0``, say); from then on this wrapper maps f over
+    the broadcast arguments point by point, and a point whose call
+    overflows (OverflowError) reads inf.  Numbers go to f as they are."""
     whole = True
 
-    def call(s):
+    def call(*args):
         nonlocal whole
-        if isinstance(s, np.ndarray):
-            if whole:
-                try:
-                    return evaluator(s)
-                except (TypeError, ValueError):
-                    whole = False
-            return np.array([evaluator(v) for v in s.ravel().tolist()]
-                            ).reshape(s.shape)
-        return evaluator(s)
+        if not any(isinstance(a, np.ndarray) for a in args):
+            return f(*args)
+        if whole:
+            try:
+                return f(*args)
+            except (TypeError, ValueError):
+                whole = False
+        grid = np.broadcast_arrays(*args)
+        out = []
+        for point in zip(*(a.ravel().tolist() for a in grid)):
+            try:
+                out.append(f(*point))
+            except OverflowError:
+                out.append(math.inf)
+        return np.array(out).reshape(grid[0].shape)
     return call
 
 
 def _log_abs_of(kernel):
     def log_abs_K(t):
-        v = kernel(t)
-        return math.log(abs(v)) if v != 0 else -math.inf
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(kernel(t)))
     return log_abs_K
 
 
@@ -388,15 +387,16 @@ class WeightSpec:
                complex_capable=True, kernel=None, entire=None,
                label="custom", **kw) -> "WeightSpec":
         """A user weight.  ``evaluator(s)`` returns log gamma(s) for complex
-        ``s`` (real-only when ``complex_capable`` is False), elementwise for
-        a numpy array if it can (an evaluator that raises TypeError or
-        ValueError on an array is then called point by point, and so is
-        ``kernel``); ``eps(s)`` is an
+        ``s`` (real-only when ``complex_capable`` is False); ``eps(s)`` is an
         optional analytic eps; ``kernel(t)`` and ``entire(z)`` declare the
         closed forms of K and E, which then replace Mellin inversion and the
-        series exactly as a built-in family's table entry does."""
+        series exactly as a built-in family's table entry does.  The
+        evaluator and the hooks take numpy arrays elementwise if they can,
+        and are mapped point by point if not (``_array_or_pointwise``)."""
         if evaluator is None:
             raise DomainError("custom weight needs an evaluator")
+        kernel = kernel and _array_or_pointwise(kernel)
+        entire = entire and _array_or_pointwise(entire)
         record = _Family(
             "custom", lambda p, s, f=_array_or_pointwise(evaluator): f(s),
             None if eps is None else (lambda p, s: eps(s)),

@@ -14,7 +14,7 @@ from momentsum.applications import (MultiSumPlan, Transseries, euler_apply_P,
 from momentsum.errors import DomainError, OrderingError, PZeroOnRay
 from momentsum.kernels import EntireE
 from momentsum.transforms import (FormalSeries, FunctionHandle, borel_coeffs,
-                                  moment_sum)
+                                  moment_sum, pade_continue)
 from momentsum.weights import WeightSpec
 
 W1 = WeightSpec.gamma_power(1.0)
@@ -229,6 +229,22 @@ class TestEulerOperator:
         with pytest.raises(PZeroOnRay):
             euler_solve((0.0, 1.0), g, W1, 0.3)      # P(0) = 0
         euler_solve((1.0, 2.0, 1.0), g, W1, 0.3)     # (1+t)^2 fine
+
+    def test_near_real_root_is_on_the_ray_for_both_screens(self):
+        # P = (t - r)(t - conj r), r = 0.01 + 5e-10 i: Pade's pole screen
+        # and euler_solve's zero screen read r as on the ray alike
+        a, d = Fraction(1, 100), Fraction(1, 2 * 10 ** 9)
+        P = (a * a + d * d, -2 * a, Fraction(1))
+        q = [c / P[0] for c in P]
+        c = [Fraction(1), -q[1]]                  # 1/Q(t) = sum_k c_k t^k
+        for k in range(2, 6):
+            c.append(-q[1] * c[k - 1] - q[2] * c[k - 2])
+        pa = pade_continue(FormalSeries(tuple(c)), (0, 2))
+        assert list(pa.den) == q
+        assert 1e-10 < abs(pa.poles[0].imag) < 1e-9
+        assert pa.pole_on_ray
+        with pytest.raises(PZeroOnRay, match="t=0.01"):
+            euler_solve(P, FormalSeries((Fraction(0), Fraction(1))), W1, 0.3)
 
 
 class TestEulerSolve:

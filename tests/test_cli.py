@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentsum import cli, errors
 from momentsum.cli import RunConfig, main, parse_series, parse_weight, run
@@ -344,6 +348,34 @@ def test_family_command_sweep(capsys, tmp_path, weight, command):
         assert m, err
         cls = getattr(errors, m.group(1), None)
         assert isinstance(cls, type) and issubclass(cls, errors.MomentSumError), err
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["sum", "euler", "multisum"]),
+       weight=st.sampled_from(["gamma_power:alpha=0.5", "gamma_power:alpha=1",
+                               "gamma_power:alpha=2", "gamma_power:alpha=3",
+                               "iterated_log:k=1"]),
+       series=st.sampled_from(["euler", "cauchy"]),
+       log_tol=st.floats(-14.0, -5.0), x=st.floats(0.01, 10.0),
+       negative=st.booleans())
+def test_sums_fail_only_with_named_errors(command, weight, series, log_tol,
+                                          x, negative):
+    """A sum at any tolerance and point, of either sign, succeeds or exits
+    1 naming a MomentSumError: no traceback and no bare OverflowError."""
+    argv = [command, "--weight", weight, "--tol", repr(10.0 ** log_tol),
+            "--x", repr(-x if negative else x)]
+    if command != "euler":      # euler solves for its own series
+        argv += ["--series", series]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), (argv, err.getvalue())
+    if code == 1:
+        name = json.loads(err.getvalue().strip().splitlines()[-1])["error"]
+        cls = getattr(errors, name, None)
+        assert isinstance(cls, type) and \
+            issubclass(cls, errors.MomentSumError), (argv, err.getvalue())
 
 
 def test_console_script_subprocess():

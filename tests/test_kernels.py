@@ -9,7 +9,8 @@ from scipy.integrate import quad
 
 from momentsum.errors import TruncationError
 from momentsum.kernels import (EntireE, KernelK, OmegaDomain, _LOG_TINY,
-                               kernel_probe_csv, verify_kernel_lemma)
+                               kernel_probe_csv, verify_E_curve, verify_E_exp,
+                               verify_K1_deriv, verify_three_E)
 from momentsum.weights import (WeightSpec, eval_eps, gamma_hat_numeric,
                                moment_weight, solve_saddle)
 
@@ -159,7 +160,7 @@ class TestOmega:
 
 class TestLemmas:
     def test_three_E_classical_delta(self):
-        r = verify_kernel_lemma("three_E", W1, eta=0.9)
+        r = verify_three_E(W1, eta=0.9)
         assert r.stable
         assert r.measured["delta_found"] <= 0.1 + 1e-12
 
@@ -173,7 +174,7 @@ class TestLemmas:
             w = WeightSpec.gamma_power(alpha)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                r = verify_kernel_lemma("K1_deriv", w, n_max=6)
+                r = verify_K1_deriv(w, n_max=6)
             assert r.stable, alpha
             delta = r.measured["delta"]
 
@@ -192,17 +193,16 @@ class TestLemmas:
                 assert got == pytest.approx(want, abs=1e-8), (alpha, n)
 
     def test_E_curve(self):
-        assert verify_kernel_lemma("E_curve", W1).stable
+        assert verify_E_curve(W1).stable
 
     def test_E_exp_nonincreasing(self):
-        r = verify_kernel_lemma("E_exp", W1)
+        r = verify_E_exp(W1)
         assert r.measured["non_increasing"]
 
     def test_three_E_beurling(self):
         # the Beurling E needs ~e^t series terms, so the desk range is short
-        r = verify_kernel_lemma("three_E", WeightSpec.iterated_log(1),
-                                eta=0.8, delta=0.05, t_range=(1.0, 9.0),
-                                n_pts=12)
+        r = verify_three_E(WeightSpec.iterated_log(1), eta=0.8, delta=0.05,
+                           t_range=(1.0, 9.0), n_pts=12)
         assert r.stable
 
 
@@ -498,7 +498,7 @@ def test_three_E_kernel_variant_over_full_range():
     from scipy.special import k0e
     from momentsum.applications import MultiSumPlan
     prod = MultiSumPlan([W2, W2]).product_weight()
-    r = verify_kernel_lemma("three_E", prod, eta=0.5)
+    r = verify_three_E(prod, eta=0.5)
     assert all(math.isfinite(d["log_C_kernel"])
                for d in r.measured["per_delta"].values())
     t = 200.0
@@ -645,7 +645,7 @@ def test_K1_deriv_without_a_saddle_is_named():
     tracemalloc.start()
     try:
         with pytest.raises(MomentSumError):
-            verify_kernel_lemma("K1_deriv", WeightSpec.loglog_power(1.0))
+            verify_K1_deriv(WeightSpec.loglog_power(1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -18,7 +18,7 @@ from momentsum.transforms import (FormalSeries, FunctionHandle, borel_coeffs,
                                   borel_contour, laplace_derivative_n,
                                   laplace_quadrature, moment_sum,
                                   pade_continue, remainder_Rn)
-from momentsum.weights import WeightSpec
+from momentsum.weights import WeightSpec, _array_or_pointwise
 
 W1 = WeightSpec.gamma_power(1.0)
 
@@ -344,6 +344,52 @@ def test_de_rule_maps_handles_that_reject_arrays():
             pytest.approx(EULER_SUM_X1, abs=1e-11)
         assert laplace_quadrature(scalar, K, 1.0, tol=1e-11).value == \
             pytest.approx(0.5, abs=1e-11)
+
+
+FACTORIALS = [math.factorial(k) for k in range(8)]
+
+
+@pytest.mark.parametrize("use", ["laplace_value", "laplace_batch", "class_B"])
+def test_scalar_callables_are_mapped_as_their_array_twins(use):
+    # an evaluator that branches on t >= 0 (ValueError on an array) and an
+    # oracle that indexes a list by n (TypeError): each is tried whole once,
+    # then mapped point by point, to the values of their array twins
+    whole = {"F": 0, "dF": 0}
+
+    def F(t):
+        whole["F"] += isinstance(t, np.ndarray)
+        return 1.0 / (1.0 + t) if t >= 0 else 0.0
+
+    def dF(t, n):
+        whole["dF"] += isinstance(t, np.ndarray)
+        return (-1.0) ** n * FACTORIALS[n] / (1.0 + t) ** (n + 1)
+
+    scalar = FunctionHandle(F, dF)
+    twin = FunctionHandle(
+        lambda t: np.where(t >= 0, 1.0, 0.0) / (1.0 + np.abs(t)),
+        lambda t, n: (-1.0) ** n * np.array(FACTORIALS)[n]
+        / (1.0 + t) ** (n + 1))
+    K = KernelK(W1)
+    xs = np.array([0.2, 0.5, 1.0, 0.5])
+    if use == "class_B":
+        from momentsum.carleman import SequenceM, fit_class_constant
+        M = SequenceM.factorial_power(1.0)
+
+        def run(h):
+            fit = fit_class_constant("B", h, M=M, N=M, interval=(0.05, 0.5),
+                                     grid_size=6, n_max=5, n_min=1)
+            return [fit.C, *fit.per_n.values()]
+    else:
+        ns = 0 if use == "laplace_value" else np.array([0, 1, 2, 6])
+
+        def run(h):
+            return laplace_derivative_n(h, K, xs, ns, tol=1e-11).tolist()
+    assert run(scalar) == run(twin)
+    want = {"laplace_value": {"F": 1, "dF": 0}}.get(use, {"F": 0, "dF": 1})
+    assert whole == want
+    # a point whose call overflows reads inf
+    got = _array_or_pointwise(math.exp)(np.array([1.0, 1000.0]))
+    assert got.tolist() == [math.e, math.inf]
 
 
 def test_de_rule_non_finite_term_is_a_named_stall():
