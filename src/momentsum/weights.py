@@ -205,13 +205,15 @@ def _array_or_pointwise(f):
 
     def call(*args):
         nonlocal whole
-        if not any(isinstance(a, np.ndarray) for a in args):
-            return f(*args)
         if whole:
             try:
                 return f(*args)
             except (TypeError, ValueError):
+                if not any(isinstance(a, np.ndarray) for a in args):
+                    raise
                 whole = False
+        elif not any(isinstance(a, np.ndarray) for a in args):
+            return f(*args)
         grid = np.broadcast_arrays(*args)
         out = []
         for point in zip(*(a.ravel().tolist() for a in grid)):
