@@ -212,9 +212,10 @@ def transseries_synthesize_jets(blocks, exponents, n_max: int):
 # Euler-type operator equations
 # ---------------------------------------------------------------------------
 
-def _screen_positive_ray(poly):
-    """Reject polynomials with zeros on [0, inf): sign screen, then roots."""
-    p = [float(v) for v in poly]
+def _screen_ray(poly, sign=1):
+    """Reject polynomials with zeros on the ray sign * [0, inf): P(0), the
+    sign screen, then the roots of P(sign * t)."""
+    p = [float(v) * sign ** k for k, v in enumerate(poly)]
     if p[0] == 0.0:
         raise PZeroOnRay("P(0) = 0")
     signs = {np.sign(v) for v in p if v != 0.0}
@@ -222,7 +223,8 @@ def _screen_positive_ray(poly):
         return  # Descartes: no positive real root, and P(0) != 0
     on_ray = _ray_roots(p)[1]
     if on_ray:
-        raise PZeroOnRay(f"operator polynomial vanishes near t={on_ray[0]:.6g}")
+        raise PZeroOnRay("operator polynomial vanishes near "
+                         f"t={sign * on_ray[0]:.6g}")
 
 
 def _mu_ratio(w: WeightSpec, m: int, j: int):
@@ -262,7 +264,9 @@ def euler_solve(P, g: FormalSeries, w: WeightSpec, x: float,
     The recursion inverts the lower-triangular action of P(V):
     f_m = (g_m - sum_{j>=1} p_j (mu_m/mu_{m-j}) f_{m-j}) / p_0.
     """
-    _screen_positive_ray(P)
+    _screen_ray(P)
+    if x < 0:
+        _screen_ray(P, -1)    # the integral meets P(x t) on (-inf, 0]
     P = FormalSeries(tuple(P)).coeffs    # int / int would be a float
     f = []
     for m in range(len(g)):

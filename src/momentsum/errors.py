@@ -58,7 +58,10 @@ class OrderingError(MomentSumError):
 
 
 class PZeroOnRay(MomentSumError):
-    """Operator polynomial vanishes somewhere on [0, infinity)."""
+    """A zero on the ray of integration: the Euler operator polynomial P
+    vanishes on [0, infinity), or at x < 0 on (-infinity, 0] (euler_solve);
+    or at x < 0 the Pade continuation has a pole on (-infinity, 0]
+    (moment_sum)."""
 
 
 class StepTooLarge(MomentSumError):

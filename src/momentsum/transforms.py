@@ -12,6 +12,7 @@ the Borel transform for functions analytic near the ray.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import operator
@@ -22,7 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (DegenerateDenominator, DerivativeUnavailable, DomainError,
-                     IncompatibleGrowth, MomentSumError, QuadratureStall)
+                     IncompatibleGrowth, MomentSumError, PZeroOnRay,
+                     QuadratureStall)
 from .kernels import EntireE, KernelK
 from .weights import L_inverse, WeightSpec, _array_or_pointwise, log_L_hat
 
@@ -52,11 +54,18 @@ class FormalSeries:
         object.__setattr__(self, "coeffs", tuple(
             Fraction(c) if isinstance(c, int) else c for c in self.coeffs))
 
-    @property
+    @functools.cached_property
     def exact(self) -> bool:
         """Every coefficient is a Fraction; the Pade solve and ``to_json``
         ask."""
         return all(isinstance(c, Fraction) for c in self.coeffs)
+
+    @functools.cached_property
+    def numerators(self) -> tuple:
+        """The ints N_k with a_k = N_k / D for an exact series, over the
+        least common denominator D of its coefficients."""
+        D = math.lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (D // c.denominator) for c in self.coeffs)
 
     def __len__(self):
         return len(self.coeffs)
@@ -215,8 +224,10 @@ class PadeApproximant:
 def pade_continue(s: FormalSeries, order) -> PadeApproximant:
     """Rational approximant [m/n] agreeing with the series to order m+n.
 
-    Exact (Fraction) solve for rational input; float solve otherwise.  Poles
-    on the nonnegative ray set ``pole_on_ray``.
+    Exact solve for rational input, on the series' integer numerators
+    (``FormalSeries.numerators``: the common denominator cancels from the
+    denominator system); float solve otherwise.  Poles on the nonnegative
+    ray set ``pole_on_ray``.
     """
     m, n = order
     if len(s) < m + n + 1:
@@ -226,12 +237,15 @@ def pade_continue(s: FormalSeries, order) -> PadeApproximant:
     # denominator: sum_{j=0..n} q_j c_{m+k-j} = 0, k=1..n, q_0 = 1
     q = [1]
     if n > 0:
-        A = [[c[m + k - j] if m + k - j >= 0 else 0 for j in range(1, n + 1)]
-             for k in range(1, n + 1)]
-        b = [-c[m + k] for k in range(1, n + 1)]
         if s.exact:
-            q += _solve_exact(A, b)
+            N = s.numerators
+            q += _solve_exact([[N[m + k - j] if m + k - j >= 0 else 0
+                                for j in range(1, n + 1)] + [-N[m + k]]
+                               for k in range(1, n + 1)])
         else:
+            A = [[c[m + k - j] if m + k - j >= 0 else 0
+                  for j in range(1, n + 1)] for k in range(1, n + 1)]
+            b = [-c[m + k] for k in range(1, n + 1)]
             An, bn = np.array(A, dtype=float), np.array(b, dtype=float)
             if np.linalg.cond(An) > 1e13:
                 raise DegenerateDenominator("near-singular Pade system")
@@ -254,23 +268,31 @@ def _ray_roots(coeffs):
                    if abs(r.imag) < 1e-9 and r.real >= -1e-12]
 
 
-def _solve_exact(A, b):
-    """Gaussian elimination over Fractions."""
-    n = len(b)
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+def _solve_exact(M):
+    """The Fractions x with A x = b, for the n x (n + 1) integer matrix
+    M = [A | b], by fraction-free Gauss-Jordan elimination (Bareiss,
+    Math. Comp. 22, 1968).  Step k pivots on the first row from k down with
+    a nonzero in column k, as elimination over Fractions does, and sets
+    every other row r to (p_k M[r] - M[r][k] M[k]) / p_{k-1} on columns k
+    and up, with p_k the pivot of step k and p_{-1} = 1.  Each entry stays
+    a minor of M, so the division is exact.  At the end column n holds
+    p_{n-1} x, with p_{n-1} = +-det A.  M is overwritten."""
+    n = len(M)
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if M[r][k]), None)
         if piv is None:
             raise DegenerateDenominator("singular Pade system (exact)")
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [v / pv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [vr - f * vc for vr, vc in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
+        M[k], M[piv] = M[piv], M[k]
+        row = M[k][k:]
+        pk = row[0]
+        for i in range(n):
+            if i != k:
+                f = M[i][k]
+                M[i][k:] = [(pk * v - f * w) // prev
+                            for v, w in zip(M[i][k:], row)]
+        prev = pk
+    return [Fraction(M[i][n], prev) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +658,8 @@ def laplace_derivative_n(F: FunctionHandle, K: KernelK, x, n, tol=1e-9):
 
 def continue_borel_series(b: FormalSeries, continuation="pade"):
     """Pick the Borel-side evaluator: a user handle, the truncated
-    polynomial, or a screened Pade approximant.
+    polynomial, or a screened Pade approximant.  Returns (handle,
+    diagnostics, the Pade approximant or None).
 
     The Pade walk steps down the diagonal on singular systems (rational
     inputs hit the block structure of the Pade table) and on ray poles;
@@ -644,9 +667,9 @@ def continue_borel_series(b: FormalSeries, continuation="pade"):
     """
     diag = {}
     if isinstance(continuation, FunctionHandle):
-        return continuation, {"continuation": continuation.label or "user"}
+        return continuation, {"continuation": continuation.label or "user"}, None
     if continuation == "poly":
-        return FunctionHandle.from_series_eval(b), {"continuation": "poly"}
+        return FunctionHandle.from_series_eval(b), {"continuation": "poly"}, None
     if continuation != "pade":
         raise DomainError(f"unknown continuation {continuation!r}")
     N = len(b) - 1
@@ -663,7 +686,7 @@ def continue_borel_series(b: FormalSeries, continuation="pade"):
         pa = pade_continue(b, (N, 0))   # the truncated polynomial
     diag["continuation"] = f"pade({len(pa.num) - 1},{len(pa.den) - 1})"
     diag["pole_on_ray"] = pa.pole_on_ray
-    return pa.handle(), diag
+    return pa.handle(), diag, pa
 
 
 def moment_sum(a: FormalSeries, w: WeightSpec, x: float,
@@ -671,11 +694,18 @@ def moment_sum(a: FormalSeries, w: WeightSpec, x: float,
     """Resummation: borel_coeffs -> analytic continuation -> Laplace integral.
 
     ``continuation`` is either a FunctionHandle for the Borel-side function
-    or "pade" (order near (N/2, N/2) with pole screening).
+    or "pade" (order near (N/2, N/2) with pole screening).  At x < 0 the
+    integral runs F along the negative ray, so a Pade pole there, a root of
+    q(-t) on [0, inf), raises PZeroOnRay before the quadrature.
     """
     K = KernelK(w)
     b = borel_coeffs(a, w)
-    F, diag = continue_borel_series(b, continuation)
+    F, diag, pa = continue_borel_series(b, continuation)
+    if x < 0 and pa is not None:
+        on_ray = _ray_roots([c * (-1) ** k for k, c in enumerate(pa.den)])[1]
+        if on_ray:
+            raise PZeroOnRay(f"{diag['continuation']} has a pole at "
+                             f"t={-on_ray[0]:.6g}, on the ray of x < 0")
     res = laplace_quadrature(F, K, x, tol)
     res.method = "moment_sum"
     res.diagnostics.update(diag)

@@ -230,6 +230,16 @@ class TestEulerOperator:
             euler_solve((0.0, 1.0), g, W1, 0.3)      # P(0) = 0
         euler_solve((1.0, 2.0, 1.0), g, W1, 0.3)     # (1+t)^2 fine
 
+    def test_operator_screen_at_negative_x(self):
+        # at x < 0 the integral meets P(x t) on (-inf, 0] as well: 1 + t
+        # and (1+t)^2 vanish at t = -1 there, 1 + t^2 on neither ray
+        g = FormalSeries((Fraction(0), Fraction(1)))
+        for P in ((1.0, 1.0), (1.0, 2.0, 1.0)):
+            with pytest.raises(PZeroOnRay, match="t=-1"):
+                euler_solve(P, g, W1, -0.5)
+        sol = euler_solve((1.0, 0.0, 1.0), g, W1, -0.5)
+        assert math.isfinite(sol.quadrature.value)
+
     def test_near_real_root_is_on_the_ray_for_both_screens(self):
         # P = (t - r)(t - conj r), r = 0.01 + 5e-10 i: Pade's pole screen
         # and euler_solve's zero screen read r as on the ray alike

@@ -378,6 +378,22 @@ def test_sums_fail_only_with_named_errors(command, weight, series, log_tol,
             issubclass(cls, errors.MomentSumError), (argv, err.getvalue())
 
 
+@pytest.mark.parametrize("argv", [
+    ["sum", "--weight", "iterated_log:k=1", "--series", "euler", "--tol",
+     "1e-6", "--x", "-6.85"],
+    ["euler", "--weight", "iterated_log:k=1", "--x", "-4.97"],
+    ["sum", "--weight", "gamma_power:alpha=1", "--series", "euler", "--x",
+     "-0.5"],
+    ["euler", "--weight", "gamma_power:alpha=1", "--x", "-0.5"]])
+def test_pole_on_the_negative_ray_fails_fast(capsys, argv):
+    # the Euler series' Pade poles and the default P = 1 + t's zero lie on
+    # the negative ray that x < 0 integrates along: a named error before
+    # the quadrature, which would otherwise refine for seconds and stall
+    code, _, err = _run_main(capsys, argv)
+    assert code == 1
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "PZeroOnRay"
+
+
 def test_console_script_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "momentsum.cli", "sum", "--weight",
