@@ -667,9 +667,11 @@ def continue_borel_series(b: FormalSeries, continuation="pade"):
     """
     diag = {}
     if isinstance(continuation, FunctionHandle):
-        return continuation, {"continuation": continuation.label or "user"}, None
+        return (continuation, {"continuation": continuation.label or "user"},
+                None)
     if continuation == "poly":
-        return FunctionHandle.from_series_eval(b), {"continuation": "poly"}, None
+        return (FunctionHandle.from_series_eval(b), {"continuation": "poly"},
+                None)
     if continuation != "pade":
         raise DomainError(f"unknown continuation {continuation!r}")
     N = len(b) - 1

@@ -755,9 +755,9 @@ def test_fraction_free_solve_matches_fraction_gauss_jordan():
                  for k in range(1, n + 1)]
         else:
             if kind == 1:      # rank below n: a sum of r < n outer products
-                A = sum(np.outer(rng.integers(-4, 5, n), rng.integers(-4, 5, n))
-                        for _ in range(int(rng.integers(0, n))))
-                A = np.zeros((n, n), int) + A
+                A = np.zeros((n, n), int) + sum(
+                    np.outer(rng.integers(-4, 5, n), rng.integers(-4, 5, n))
+                    for _ in range(int(rng.integers(0, n))))
             else:              # sparse, so pivots need row swaps
                 A = rng.integers(-30, 31, (n, n)) * (rng.random((n, n)) < 0.3)
             A, b = A.tolist(), rng.integers(-50, 51, n).tolist()
@@ -775,7 +775,8 @@ def test_pade_walk_matches_the_fraction_solve(monkeypatch):
     # on 100 seeded rational series the walk keeps the same approximant,
     # coefficient for coefficient, and evaluates to the same floats
     rng = np.random.default_rng(2601)
-    series = [FormalSeries(tuple(_rational_series(rng, int(rng.integers(2, 25)))))
+    series = [FormalSeries(tuple(_rational_series(rng,
+                                                  int(rng.integers(2, 25)))))
               for _ in range(100)]
     points = (0.05, 0.7, 3.0, 11.0)
 
@@ -797,7 +798,7 @@ def test_pade_walk_matches_the_fraction_solve(monkeypatch):
 def test_numerators_over_the_common_denominator():
     s = FormalSeries((Fraction(1, 2), Fraction(-2, 3), 5, Fraction(0)))
     assert s.numerators == (3, -4, 30, 0)
-    assert s.numerators is s.numerators and s.exact is s.exact
+    assert s.numerators is s.numerators       # cached on the series
 
 
 LOG_SERIES_X1 = 0.74519595638609668   # int_0^inf e^-t log(1+t)/t dt, mpmath
