@@ -14,8 +14,9 @@ import numpy as np
 from .errors import DomainError, MomentSumError, OrderingError, PZeroOnRay
 from .kernels import KernelK
 from .transforms import (FormalSeries, FunctionHandle, SummationResult,
-                         _de_integrate, _horner, _ray_roots, _real_on,
-                         borel_coeffs, laplace_quadrature, moment_sum)
+                         _de_integrate, _felt_at_negative_x, _horner,
+                         _ray_roots, _real_on, borel_coeffs,
+                         laplace_quadrature, moment_sum)
 from .weights import WeightSpec, eval_eps
 
 # ---------------------------------------------------------------------------
@@ -212,19 +213,23 @@ def transseries_synthesize_jets(blocks, exponents, n_max: int):
 # Euler-type operator equations
 # ---------------------------------------------------------------------------
 
-def _screen_ray(poly, sign=1):
-    """Reject polynomials with zeros on the ray sign * [0, inf): P(0), the
-    sign screen, then the roots of P(sign * t)."""
-    p = [float(v) * sign ** k for k, v in enumerate(poly)]
+def _screen_ray(poly, K: KernelK, x: float, tol: float):
+    """Reject an operator polynomial that vanishes where the integral
+    int (B g / P)(x t) K(t) dt meets it: P(0) = 0; at x >= 0 a zero on
+    [0, inf) (Descartes' sign screen, then the roots); at x < 0 a zero on
+    (-inf, 0] where the kernel is not below tol (``_felt_at_negative_x``)."""
+    p = [float(v) for v in poly]
     if p[0] == 0.0:
         raise PZeroOnRay("P(0) = 0")
-    signs = {np.sign(v) for v in p if v != 0.0}
-    if len(signs) == 1:
+    if x < 0:
+        on_path = _felt_at_negative_x(_ray_roots(p)[0], K, x, tol)
+    elif len({np.sign(v) for v in p if v != 0.0}) == 1:
         return  # Descartes: no positive real root, and P(0) != 0
-    on_ray = _ray_roots(p)[1]
-    if on_ray:
-        raise PZeroOnRay("operator polynomial vanishes near "
-                         f"t={sign * on_ray[0]:.6g}")
+    else:
+        on_path = _ray_roots(p)[1]
+    if on_path:
+        raise PZeroOnRay(
+            f"operator polynomial vanishes near t={on_path[0]:.6g}")
 
 
 def _mu_ratio(w: WeightSpec, m: int, j: int):
@@ -264,9 +269,8 @@ def euler_solve(P, g: FormalSeries, w: WeightSpec, x: float,
     The recursion inverts the lower-triangular action of P(V):
     f_m = (g_m - sum_{j>=1} p_j (mu_m/mu_{m-j}) f_{m-j}) / p_0.
     """
-    _screen_ray(P)
-    if x < 0:
-        _screen_ray(P, -1)    # the integral meets P(x t) on (-inf, 0]
+    K = KernelK(w)
+    _screen_ray(P, K, x, tol)
     P = FormalSeries(tuple(P)).coeffs    # int / int would be a float
     f = []
     for m in range(len(g)):
@@ -287,6 +291,6 @@ def euler_solve(P, g: FormalSeries, w: WeightSpec, x: float,
 
     handle = FunctionHandle(ev, None, growth_eta=bg_eval.growth_eta,
                             complex_capable=False, label="B[g]/P")
-    res = laplace_quadrature(handle, KernelK(w), x, tol=tol)
+    res = laplace_quadrature(handle, K, x, tol=tol)
     res.method = "euler_solve"
     return EulerSolution(f_series, res, handle)

@@ -58,10 +58,12 @@ class OrderingError(MomentSumError):
 
 
 class PZeroOnRay(MomentSumError):
-    """A zero on the ray of integration: the Euler operator polynomial P
-    vanishes on [0, infinity), or at x < 0 on (-infinity, 0] (euler_solve);
-    or at x < 0 the Pade continuation has a pole on (-infinity, 0]
-    (moment_sum)."""
+    """A zero on the path x * [0, infinity) of the Laplace integral: the
+    Euler operator polynomial P vanishes on [0, infinity) at x >= 0, or on
+    (-infinity, 0] at x < 0 (euler_solve); or at x < 0 the Pade
+    continuation has a pole on (-infinity, 0] (moment_sum).  At x < 0 a
+    root is passed over where the kernel at its image is below the DE
+    rule's end floor."""
 
 
 class StepTooLarge(MomentSumError):

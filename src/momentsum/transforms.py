@@ -259,13 +259,29 @@ def pade_continue(s: FormalSeries, order) -> PadeApproximant:
 
 def _ray_roots(coeffs):
     """(every root, the real parts of the roots on [0, inf)) of the
-    polynomial sum_k coeffs[k] t^k.  A root r is on the ray where |Im r| <
-    1e-9 and Re r >= -1e-12: Pade's pole screen and the Euler operator's
-    zero screen decide alike."""
+    polynomial sum_k coeffs[k] t^k."""
     roots = tuple(complex(r) for r in
                   np.roots([float(c) for c in reversed(coeffs)]))
-    return roots, [r.real for r in roots
-                   if abs(r.imag) < 1e-9 and r.real >= -1e-12]
+    return roots, _on_ray(roots)
+
+
+def _on_ray(roots, sign=1):
+    """The real parts of the roots r on the ray sign * [0, inf): |Im r| <
+    1e-9 and sign * Re r >= -1e-12, so that Pade's pole screen and the Euler
+    operator's zero screen decide alike on either ray."""
+    return [r.real for r in roots
+            if abs(r.imag) < 1e-9 and sign * r.real >= -1e-12]
+
+
+def _felt_at_negative_x(roots, K: KernelK, x: float, tol: float):
+    """The real parts of the roots r on (-inf, 0] of the denominator of F
+    that the integral int F(x t) K(t) dt at x < 0 meets where they matter.
+    F(x t) is singular at t = r / x.  A root is passed over where the kernel
+    there is below the DE rule's end floor, _DE_FLOOR * tol: the rule's
+    walk ends before it, and its principal-value ambiguity is of the
+    kernel's size."""
+    log_floor = math.log(_DE_FLOOR * tol)
+    return [r for r in _on_ray(roots, -1) if K.log_abs(r / x) >= log_floor]
 
 
 def _solve_exact(M):
@@ -697,17 +713,18 @@ def moment_sum(a: FormalSeries, w: WeightSpec, x: float,
 
     ``continuation`` is either a FunctionHandle for the Borel-side function
     or "pade" (order near (N/2, N/2) with pole screening).  At x < 0 the
-    integral runs F along the negative ray, so a Pade pole there, a root of
-    q(-t) on [0, inf), raises PZeroOnRay before the quadrature.
+    integral runs F along the negative ray, so a Pade pole there raises
+    PZeroOnRay before the quadrature, unless the kernel is below tol where
+    the path meets it (``_felt_at_negative_x``).
     """
     K = KernelK(w)
     b = borel_coeffs(a, w)
     F, diag, pa = continue_borel_series(b, continuation)
     if x < 0 and pa is not None:
-        on_ray = _ray_roots([c * (-1) ** k for k, c in enumerate(pa.den)])[1]
-        if on_ray:
+        on_path = _felt_at_negative_x(pa.poles, K, x, tol)
+        if on_path:
             raise PZeroOnRay(f"{diag['continuation']} has a pole at "
-                             f"t={-on_ray[0]:.6g}, on the ray of x < 0")
+                             f"t={on_path[0]:.6g}, on the ray of x < 0")
     res = laplace_quadrature(F, K, x, tol)
     res.method = "moment_sum"
     res.diagnostics.update(diag)

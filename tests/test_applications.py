@@ -19,6 +19,8 @@ from momentsum.weights import WeightSpec
 
 W1 = WeightSpec.gamma_power(1.0)
 W2 = WeightSpec.gamma_power(2.0)
+# PV int_0^inf e^-t / (1 - t/100) dt = 100 e^-100 Ei(100) (mpmath, 30 digits)
+PV_EULER_AT_MINUS_001 = 1.0102062527748357114
 
 
 def dup_split_weight():
@@ -231,14 +233,29 @@ class TestEulerOperator:
         euler_solve((1.0, 2.0, 1.0), g, W1, 0.3)     # (1+t)^2 fine
 
     def test_operator_screen_at_negative_x(self):
-        # at x < 0 the integral meets P(x t) on (-inf, 0] as well: 1 + t
-        # and (1+t)^2 vanish at t = -1 there, 1 + t^2 on neither ray
+        # at x < 0 the integral meets P(x t) on (-inf, 0] only: 1 + t and
+        # (1+t)^2 vanish at t = -1 there; 1 + t^2 vanishes on neither ray,
+        # and 2 - t on [0, inf) alone, which that path never reaches
         g = FormalSeries((Fraction(0), Fraction(1)))
         for P in ((1.0, 1.0), (1.0, 2.0, 1.0)):
             with pytest.raises(PZeroOnRay, match="t=-1"):
                 euler_solve(P, g, W1, -0.5)
-        sol = euler_solve((1.0, 0.0, 1.0), g, W1, -0.5)
-        assert math.isfinite(sol.quadrature.value)
+        for P in ((1.0, 0.0, 1.0), (2, -1)):
+            sol = euler_solve(P, g, W1, -0.5)
+            assert math.isfinite(sol.quadrature.value)
+        with pytest.raises(PZeroOnRay, match="t=2"):
+            euler_solve((2, -1), g, W1, 0.5)
+
+    def test_distant_zero_at_negative_x_is_passed_over(self):
+        # 1 + x t vanishes at t = 1/|x|, where e^-t is below the DE rule's
+        # end floor 1e-3 * tol once |x| < 0.034 (tol 1e-10): at x = -0.01
+        # the value is 1 - int e^-t / (1 + x t) dt, the integral taken as
+        # a principal value; at x = -0.04 the zero still raises
+        g = FormalSeries((Fraction(0), Fraction(1)))
+        sol = euler_solve((1, 1), g, W1, -0.01)
+        assert abs(sol.quadrature.value - (1 - PV_EULER_AT_MINUS_001)) < 1e-13
+        with pytest.raises(PZeroOnRay, match="t=-1"):
+            euler_solve((1, 1), g, W1, -0.04)
 
     def test_near_real_root_is_on_the_ray_for_both_screens(self):
         # P = (t - r)(t - conj r), r = 0.01 + 5e-10 i: Pade's pole screen

@@ -37,11 +37,12 @@ PER_WEIGHT = [["sum"], ["multisum", "--weight", "gamma_power:alpha=2",
               ["kernel", "--n-points", "4"], ["gammahat"],
               ["verify", "--suite", "all"], ["euler"],
               ["classes", "--class-tag", "A"], ["classes", "--class-tag", "B"]]
-# on gamma_power(1): the inputs that do not depend on the weight; {series}
-# is a file: series
+# on gamma_power(1): the inputs that do not depend on the weight, and the
+# pole screens at x < 0; {series} is a file: series
 ONCE = [["sum", "--series", "{series}"], ["euler", "--series", "{series}"],
         ["classes", "--class-tag", "C"], ["classes", "--class-tag", "D"],
-        ["classes", "--function", "exp"]]
+        ["classes", "--function", "exp"], ["sum", "--x", "-0.5"],
+        ["euler", "--x", "-0.5"]]
 SHARDS = 2
 
 ALLOWLIST = {

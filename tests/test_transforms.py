@@ -839,6 +839,22 @@ def test_pade_pole_on_the_negative_ray_raises_before_the_quadrature(
         moment_sum(EULER_SERIES, W1, -0.5)
 
 
+def test_distant_pole_on_the_negative_ray_is_passed_over():
+    # at x = -0.01 the pole's image t = 100 has e^-t = 4e-44, far below the
+    # DE rule's end floor 1e-3 * tol: the sum is the principal value
+    # 100 e^-100 Ei(100) (mpmath); at x = -0.05, t = 20 and e^-t = 2e-9
+    # lie above it, and the pole raises
+    res = moment_sum(EULER_SERIES, W1, -0.01)
+    assert res.diagnostics["continuation"] == "pade(2,1)"
+    assert abs(res.value - 1.0102062527748357114) < 1e-13
+    with pytest.raises(PZeroOnRay, match="t=-1"):
+        moment_sum(EULER_SERIES, W1, -0.05)
+    # the floor scales with tol: at tol 1e-4 the pole at t = 20 is passed
+    # over, and the sum is within tol of 20 e^-20 Ei(20)
+    res = moment_sum(EULER_SERIES, W1, -0.05, tol=1e-4)
+    assert abs(res.value - 1.05595590559296) < 1e-4
+
+
 def test_negative_x_sums_without_poles_on_its_ray():
     # Borel transform 1/(1 + t^2): poles at +-i, on neither ray, and the
     # integrand F(x t) e^-t is even in x
